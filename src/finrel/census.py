@@ -9,12 +9,11 @@ inversion.  Any violation is recorded as a counterexample, so an empty
 counterexample list over the full scan is the certificate the census
 exists to produce.
 
-The n=5 space holds 31**5 = 28,629,151 candidates, too many for a pure
-Python inner loop.  Idempotence is therefore prefiltered with a vectorised
-numpy kernel over partitions that fix row 0; only the survivors (a few
-thousand per partition) reach the per-relation Python checks.  The kernel
-is pinned to the packed-row semantics by exhaustive agreement tests at
-small n.
+The n=5 space holds 31**5 = 28,629,151 candidates, too many to visit one
+by one in pure Python.  An idempotent relation is transitive, so a
+backtracker places the rows under a fixed row 0 and drops a row as soon as
+it breaks transitivity; at n=5 only 47,262 relations reach the exact
+idempotence test.  Exhaustive agreement tests at small n pin it to the filter.
 """
 
 from __future__ import annotations
@@ -26,13 +25,12 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Iterator
 
-import numpy as np
-
 from .core import (
     Relation,
     compose,
     inverse,
     is_idempotent,
+    is_surjective,
     iter_bits,
     nontriviality_witness,
     satisfies_gamma,
@@ -59,11 +57,44 @@ def full_relations(n: int) -> Iterator[Relation]:
         yield Relation(n, rows)
 
 
+def _idempotent_in_partition(n: int, r0: int) -> Iterator[Relation]:
+    """The idempotent full relations whose row 0 is r0, in odometer order.
+
+    Idempotent implies transitive: y in f(x) implies f(y) within f(x).  So
+    row i lies within every placed row that contains i (``cap``), and
+    contains every placed row x < i whose point x it contains.
+    """
+    rows = [r0] * n
+
+    def place(i: int) -> Iterator[Relation]:
+        if i == n:
+            f = Relation(n, tuple(rows))
+            if is_idempotent(f):
+                yield f
+            return
+        cap = (1 << n) - 1
+        for x in range(i):
+            if (rows[x] >> i) & 1:
+                cap &= rows[x]
+        for v in range(1, cap + 1):
+            if v & ~cap:
+                continue
+            for x in range(i):
+                if (v >> x) & 1 and rows[x] & ~v:
+                    break
+            else:
+                rows[i] = v
+                yield from place(i + 1)
+
+    return place(1)
+
+
 def idempotent_relations(n: int) -> Iterator[Relation]:
     """The idempotent subsequence of ``full_relations(n)``."""
-    for f in full_relations(n):
-        if is_idempotent(f):
-            yield f
+    if not 1 <= n <= ENUM_CAP:
+        raise ValueError(f"carrier size {n} outside 1..{ENUM_CAP}")
+    for r0 in range(1, 1 << n):
+        yield from _idempotent_in_partition(n, r0)
 
 
 def canonical_form(f: Relation) -> Relation:
@@ -172,15 +203,14 @@ class _Tally:
         self.counterexamples.extend(other.counterexamples)
 
 
-def _flag(tally: _Tally, n: int, rows: tuple[int, ...], reason: str) -> None:
-    doc = relation_to_document(Relation(n, rows))
+def _flag(tally: _Tally, f: Relation, reason: str) -> None:
+    doc = relation_to_document(f)
     doc["reason"] = reason
     tally.counterexamples.append(doc)
 
 
-def _check_idempotent(n: int, rows: tuple[int, ...], tally: _Tally) -> None:
+def _check_idempotent(f: Relation, tally: _Tally) -> None:
     """Run every per-relation census check on one idempotent full relation."""
-    f = Relation(n, rows)
     tally.idempotent_full += 1
 
     nt = nontriviality_witness(f)
@@ -197,75 +227,40 @@ def _check_idempotent(n: int, rows: tuple[int, ...], tally: _Tally) -> None:
 
     # the three-way equivalence for idempotent full relations
     if (gam is None) != trivial or (two is None) != trivial:
-        _flag(tally, n, rows, "trivial / gamma / two-point disagreement")
+        _flag(tally, f, "trivial / gamma / two-point disagreement")
 
     if not trivial:
         try:
             gw = gamma_witness(f)
         except Exception as exc:  # any failure here is exactly what we scan for
-            _flag(tally, n, rows, f"gamma pipeline failed: {exc}")
+            _flag(tally, f, f"gamma pipeline failed: {exc}")
         else:
             u, v = gw.pair
             ok = u != v and f.has(u, u) and f.has(u, v) and f.has(v, v)
-            ok = ok and len(gw.reflexive_stage.chain) <= n
-            ok = ok and len(gw.extension_stage.chain) <= n
+            ok = ok and len(gw.reflexive_stage.chain) <= f.n
+            ok = ok and len(gw.extension_stage.chain) <= f.n
             if not ok:
-                _flag(tally, n, rows, "gamma pipeline returned an invalid witness")
+                _flag(tally, f, "gamma pipeline returned an invalid witness")
 
-    union = 0
-    for row in rows:
-        union |= row
-    surjective = union == (1 << n) - 1
+    surjective = is_surjective(f)
     if surjective:
         tally.surjective_idempotent += 1
 
-    ident = all(rows[x] == 1 << x for x in range(n))
+    ident = all(row == 1 << x for x, row in enumerate(f.rows))
     if ident:
         tally.identity_count += 1
     if trivial and surjective and not ident:
-        _flag(tally, n, rows, "trivial idempotent surjection differs from the identity")
+        _flag(tally, f, "trivial idempotent surjection differs from the identity")
 
     inv = inverse(f)
     if compose(inv, inv).rows != inverse(compose(f, f)).rows:
-        _flag(tally, n, rows, "squaring does not commute with inversion")
-
-
-def _idempotent_rows_in_partition(n: int, r0: int) -> list[tuple[int, ...]]:
-    """All idempotent row tuples with the given row 0, in odometer order.
-
-    Vectorised over the (2^n - 1)^(n-1) choices of the remaining rows: for
-    each point x the union of rows selected by row x must reproduce row x.
-    """
-    if n == 1:
-        return [(r0,)] if r0 == 1 else []
-    vals = np.arange(1, 1 << n, dtype=np.uint8)
-    grids = np.meshgrid(*([vals] * (n - 1)), indexing="ij")
-    mats = [g.reshape(-1) for g in grids]
-    size = mats[0].size
-    ok = np.ones(size, dtype=bool)
-    zero = np.uint8(0)
-    for x in range(n):
-        rx = mats[x - 1] if x else None
-        union = np.zeros(size, dtype=np.uint8)
-        for k in range(n):
-            source = np.uint8(r0) if k == 0 else mats[k - 1]
-            if rx is None:
-                if (r0 >> k) & 1:
-                    union |= source
-            else:
-                union |= np.where((rx >> k) & 1 != 0, source, zero)
-        ok &= union == (np.uint8(r0) if rx is None else rx)
-    out = []
-    for i in np.flatnonzero(ok):
-        out.append((r0,) + tuple(int(m[i]) for m in mats))
-    return out
+        _flag(tally, f, "squaring does not commute with inversion")
 
 
 def _scan_partition_all(n: int, r0: int) -> _Tally:
     tally = _Tally()
-    tally.full = ((1 << n) - 1) ** (n - 1)  # every candidate in the partition is full
-    for rows in _idempotent_rows_in_partition(n, r0):
-        _check_idempotent(n, rows, tally)
+    for f in _idempotent_in_partition(n, r0):
+        _check_idempotent(f, tally)
     return tally
 
 
@@ -291,7 +286,7 @@ def _scan_partition_iso(n: int, r0: int) -> _Tally:
         tally.full += 1
         f = Relation(n, rows)
         if is_idempotent(f):
-            _check_idempotent(n, rows, tally)
+            _check_idempotent(f, tally)
     return tally
 
 
@@ -331,7 +326,7 @@ def survey(n: int, mode: str = "all", workers: int = 1) -> SurveyReport:
     return SurveyReport(
         n=n,
         mode=mode,
-        full=total.full,
+        full=((1 << n) - 1) ** n if mode == "all" else total.full,
         idempotent_full=total.idempotent_full,
         nontrivial_idempotent=total.nontrivial_idempotent,
         trivial_idempotent=total.trivial_idempotent,

@@ -12,6 +12,8 @@ import json
 
 from .core import Relation
 
+MAX_CARRIER = 65_536  # largest carrier a JSON document may declare
+
 
 class RelationParseError(ValueError):
     """A relation document was malformed; the message pins down where."""
@@ -33,6 +35,8 @@ def _parse_json(text: str) -> Relation:
         raise RelationParseError("field 'n': expected an integer")
     if n < 1:
         raise RelationParseError("field 'n': carrier must be nonempty")
+    if n > MAX_CARRIER:
+        raise RelationParseError(f"field 'n': carrier of size {n} exceeds the limit {MAX_CARRIER}")
     pairs = doc["pairs"]
     if not isinstance(pairs, list):
         raise RelationParseError("field 'pairs': expected a list of [x, y] pairs")
@@ -89,7 +93,7 @@ def parse_relation(text: str) -> Relation:
 def serialize_relation(f: Relation, form: str = "json") -> str:
     """Render a relation; ``parse_relation`` inverts this exactly."""
     if form == "json":
-        return json.dumps({"n": f.n, "pairs": [list(p) for p in f.pairs()]})
+        return json.dumps(relation_to_document(f))
     if form == "matrix":
         out = []
         for row in f.rows:

@@ -24,7 +24,7 @@ from finrel import (
     satisfies_gamma,
     survey,
 )
-from finrel.census import _idempotent_rows_in_partition
+from finrel.census import _idempotent_in_partition
 
 
 class TestFullEnumeration:
@@ -81,6 +81,17 @@ class TestIdempotentEnumeration:
         theirs = sum(1 for f in o.o_all_full_relations(n) if o.o_is_idempotent(f))
         assert ours == theirs
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_is_the_filtered_full_stream_in_order(self, n):
+        expected = [f for f in full_relations(n) if is_idempotent(f)]
+        assert list(idempotent_relations(n)) == expected
+
+    def test_cap(self):
+        with pytest.raises(ValueError, match="outside"):
+            next(idempotent_relations(6))
+        with pytest.raises(ValueError, match="outside"):
+            next(idempotent_relations(0))
+
 
 class TestCanonicalForm:
     def test_identity_fixed(self):
@@ -132,10 +143,10 @@ class TestIdempotentPower:
 
 
 class TestFastIdempotenceKernel:
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_agrees_with_packed_filter(self, n):
         for r0 in range(1, 1 << n):
-            from_kernel = _idempotent_rows_in_partition(n, r0)
+            from_kernel = [f.rows for f in _idempotent_in_partition(n, r0)]
             reference = [
                 (r0,) + rest
                 for rest in itertools.product(range(1, 1 << n), repeat=n - 1)

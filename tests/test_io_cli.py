@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -15,7 +19,7 @@ from finrel import (
     serialize_relation,
 )
 from finrel.cli import run
-from finrel.io import RelationParseError
+from finrel.io import MAX_CARRIER, RelationParseError
 from strategies import relations
 
 
@@ -52,6 +56,12 @@ class TestParse:
             parse_relation('{"pairs":[]}')
         with pytest.raises(RelationParseError, match="integer"):
             parse_relation('{"n":"3","pairs":[]}')
+
+    def test_carrier_limit(self):
+        top = '{"n": %d, "pairs": [[%d, 0]]}' % (MAX_CARRIER, MAX_CARRIER - 1)
+        assert parse_relation(top).n == MAX_CARRIER
+        with pytest.raises(RelationParseError, match="field 'n'.*exceeds"):
+            parse_relation('{"n": %d, "pairs": []}' % (MAX_CARRIER + 1))
 
     def test_rejects_bad_pairs(self):
         with pytest.raises(RelationParseError, match=r"pairs\[1\].*out of range"):
@@ -148,6 +158,14 @@ class TestCheckCommand:
         code, _, err = run_cli(capsys, "check", "no-such-file.json")
         assert code == 2
         assert "cannot read" in err
+
+    def test_huge_carrier_rejected_before_allocating(self, tmp_path, capsys):
+        doc = tmp_path / "huge.json"
+        doc.write_text('{"n": 1000000000, "pairs": []}')
+        code, out, err = run_cli(capsys, "check", str(doc))
+        assert code == 2
+        assert out == ""
+        assert "field 'n'" in err and "exceeds" in err
 
     def test_matrix_and_json_give_same_report(self, tmp_path, capsys):
         f = gamma_relation()
@@ -355,3 +373,13 @@ class TestUsageErrors:
     def test_no_arguments(self, capsys):
         code, _, err = run_cli(capsys)
         assert code == 2
+
+
+class TestDependencies:
+    def test_import_loads_no_numpy(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = "import sys, finrel, finrel.cli; print('numpy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"
