@@ -14,24 +14,28 @@ by one in pure Python.  An idempotent relation is transitive, so a
 backtracker places the rows under a fixed row 0 and drops a row as soon as
 it breaks transitivity; at n=5 only 47,262 relations reach the exact
 idempotence test.  Exhaustive agreement tests at small n pin it to the filter.
+Mode ``up_to_iso`` runs the same scan, keeps the idempotent relations that
+no relabeling makes smaller, and counts the classes of full relations by
+Burnside's lemma instead of visiting them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from random import Random
 from typing import Iterator
 
 from .core import (
     Relation,
+    _relabel,
     compose,
     inverse,
     is_idempotent,
     is_surjective,
-    iter_bits,
     nontriviality_witness,
     satisfies_gamma,
     two_point_witness,
@@ -107,19 +111,7 @@ def canonical_form(f: Relation) -> Relation:
     n = f.n
     if n > CANONICAL_CAP:
         raise ValueError(f"carrier size {n} above the permutation cap {CANONICAL_CAP}")
-    rows = f.rows
-    best = rows
-    for perm in itertools.permutations(range(n)):
-        out = [0] * n
-        for x, row in enumerate(rows):
-            acc = 0
-            for y in iter_bits(row):
-                acc |= 1 << perm[y]
-            out[perm[x]] = acc
-        cand = tuple(out)
-        if cand < best:
-            best = cand
-    return Relation(n, best)
+    return Relation(n, min(_relabel(f.rows, perm) for perm in itertools.permutations(range(n))))
 
 
 def random_full_relation(n: int, rng: Random) -> Relation:
@@ -183,7 +175,6 @@ class SurveyReport:
 
 @dataclass
 class _Tally:
-    full: int = 0
     idempotent_full: int = 0
     nontrivial_idempotent: int = 0
     trivial_idempotent: int = 0
@@ -193,14 +184,8 @@ class _Tally:
     counterexamples: list[dict] = field(default_factory=list)
 
     def merge(self, other: "_Tally") -> None:
-        self.full += other.full
-        self.idempotent_full += other.idempotent_full
-        self.nontrivial_idempotent += other.nontrivial_idempotent
-        self.trivial_idempotent += other.trivial_idempotent
-        self.gamma_idempotent += other.gamma_idempotent
-        self.surjective_idempotent += other.surjective_idempotent
-        self.identity_count += other.identity_count
-        self.counterexamples.extend(other.counterexamples)
+        for fld in fields(self):
+            setattr(self, fld.name, getattr(self, fld.name) + getattr(other, fld.name))
 
 
 def _flag(tally: _Tally, f: Relation, reason: str) -> None:
@@ -257,47 +242,48 @@ def _check_idempotent(f: Relation, tally: _Tally) -> None:
         _flag(tally, f, "squaring does not commute with inversion")
 
 
-def _scan_partition_all(n: int, r0: int) -> _Tally:
+def _scan_partition(n: int, r0: int, perms: list[tuple[int, ...]]) -> _Tally:
+    """Check the idempotent relations with row 0 r0 that no perm in ``perms`` makes smaller."""
     tally = _Tally()
     for f in _idempotent_in_partition(n, r0):
-        _check_idempotent(f, tally)
-    return tally
-
-
-def _is_canonical(n: int, rows: tuple[int, ...]) -> bool:
-    for perm in itertools.permutations(range(n)):
-        out = [0] * n
-        for x, row in enumerate(rows):
-            acc = 0
-            for y in iter_bits(row):
-                acc |= 1 << perm[y]
-            out[perm[x]] = acc
-        if tuple(out) < rows:
-            return False
-    return True
-
-
-def _scan_partition_iso(n: int, r0: int) -> _Tally:
-    tally = _Tally()
-    for rest in itertools.product(range(1, 1 << n), repeat=n - 1):
-        rows = (r0,) + rest
-        if not _is_canonical(n, rows):
-            continue
-        tally.full += 1
-        f = Relation(n, rows)
-        if is_idempotent(f):
+        if all(_relabel(f.rows, perm) >= f.rows for perm in perms):
             _check_idempotent(f, tally)
     return tally
+
+
+def _full_classes(n: int) -> int:
+    """The number of isomorphism classes of full relations, by Burnside's lemma.
+
+    A relation fixed by a permutation sigma is its row at one point of each
+    cycle C, and that row is a nonempty union of orbits of sigma^|C|, which
+    splits each cycle c into gcd(|C|, |c|) orbits.
+    """
+    perms = list(itertools.permutations(range(n)))
+    total = 0
+    for perm in perms:
+        lengths = []
+        for x in range(n):
+            # walk x's cycle while it stays above x: back at x, x is its least point
+            y, length = perm[x], 1
+            while y > x:
+                y, length = perm[y], length + 1
+            if y == x:
+                lengths.append(length)
+        fixed = 1
+        for a in lengths:
+            fixed *= (1 << sum(math.gcd(a, b) for b in lengths)) - 1
+        total += fixed
+    return total // len(perms)
 
 
 def survey(n: int, mode: str = "all", workers: int = 1) -> SurveyReport:
     """Scan every full relation on n points and certify the equivalences.
 
     ``mode="all"`` visits all (2^n - 1)^n full relations (capped at n=5);
-    ``mode="up_to_iso"`` visits canonical representatives only (capped at
-    n=4, since each candidate pays an n! canonicity test).  Partitions are
-    split by the value of row 0 and merged in a fixed order, so the report
-    is identical for every worker count.
+    ``mode="up_to_iso"`` checks canonical representatives only (capped at
+    n=4, since each idempotent relation pays an n! canonicity test).
+    Partitions are split by the value of row 0 and merged in a fixed order,
+    so the report is identical for every worker count.
     """
     if mode not in ("all", "up_to_iso"):
         raise ValueError(f"unknown survey mode {mode!r}")
@@ -310,15 +296,16 @@ def survey(n: int, mode: str = "all", workers: int = 1) -> SurveyReport:
     if workers < 1:
         raise ValueError("workers must be positive")
 
-    scan = _scan_partition_all if mode == "all" else _scan_partition_iso
+    # the identity permutation never relabels a relation into a smaller one
+    perms = list(itertools.permutations(range(n)))[1:] if mode == "up_to_iso" else []
     partitions = range(1, 1 << n)
     started = time.perf_counter()
     total = _Tally()
     if workers == 1:
-        parts = [scan(n, r0) for r0 in partitions]
+        parts = [_scan_partition(n, r0, perms) for r0 in partitions]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda r0: scan(n, r0), partitions))
+            parts = list(pool.map(lambda r0: _scan_partition(n, r0, perms), partitions))
     for part in parts:
         total.merge(part)
     elapsed = time.perf_counter() - started
@@ -326,7 +313,7 @@ def survey(n: int, mode: str = "all", workers: int = 1) -> SurveyReport:
     return SurveyReport(
         n=n,
         mode=mode,
-        full=((1 << n) - 1) ** n if mode == "all" else total.full,
+        full=((1 << n) - 1) ** n if mode == "all" else _full_classes(n),
         idempotent_full=total.idempotent_full,
         nontrivial_idempotent=total.nontrivial_idempotent,
         trivial_idempotent=total.trivial_idempotent,

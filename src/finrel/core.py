@@ -137,17 +137,22 @@ def restrict(f: Relation, points: Iterable[int]) -> Relation:
     return Relation(f.n, tuple(row if (keep >> x) & 1 else 0 for x, row in enumerate(f.rows)))
 
 
-def apply_permutation(f: Relation, perm: Sequence[int]) -> Relation:
-    """Relabel every point x as perm[x]."""
-    if sorted(perm) != list(range(f.n)):
-        raise ValueError("perm is not a bijection on the carrier")
-    out = [0] * f.n
-    for x, row in enumerate(f.rows):
+def _relabel(rows: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
+    """The packed rows with every point x relabeled as perm[x], a bijection."""
+    out = [0] * len(rows)
+    for x, row in enumerate(rows):
         acc = 0
         for y in iter_bits(row):
             acc |= 1 << perm[y]
         out[perm[x]] = acc
-    return Relation(f.n, tuple(out))
+    return tuple(out)
+
+
+def apply_permutation(f: Relation, perm: Sequence[int]) -> Relation:
+    """Relabel every point x as perm[x]."""
+    if sorted(perm) != list(range(f.n)):
+        raise ValueError("perm is not a bijection on the carrier")
+    return Relation(f.n, _relabel(f.rows, perm))
 
 
 def is_full(f: Relation) -> bool:

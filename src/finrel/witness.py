@@ -30,11 +30,11 @@ from typing import Optional
 from .core import (
     PreconditionError,
     Relation,
+    _relabel,
     inverse,
     is_full,
     is_idempotent,
     is_trivial,
-    iter_bits,
 )
 
 KIND_REFLEXIVE_PAIR = "reflexive_pair"
@@ -113,6 +113,11 @@ def reflexive_pair_witness(f: Relation) -> WitnessChain:
     until it hits a reflexive one, which happens within n steps.
     """
     _require(f, full=True, idempotent=True, nontrivial=True, op="reflexive_pair_witness")
+    return _reflexive_pair(f)
+
+
+def _reflexive_pair(f: Relation) -> WitnessChain:
+    """``reflexive_pair_witness`` on an f whose preconditions hold."""
     n, rows = f.n, f.rows
 
     if all((rows[x] >> x) & 1 for x in range(n)):
@@ -154,6 +159,11 @@ def gamma_from_seed(f: Relation, x: int, y: int) -> WitnessChain:
     appears within n steps, giving (x,x), (x,z), (z,z) in f.
     """
     _require(f, full=True, idempotent=True, op="gamma_from_seed")
+    return _gamma_from_seed(f, x, y)
+
+
+def _gamma_from_seed(f: Relation, x: int, y: int) -> WitnessChain:
+    """``gamma_from_seed`` on a full idempotent f; the seed is still checked."""
     n, rows = f.n, f.rows
     if not (0 <= x < n and 0 <= y < n):
         raise PreconditionError("seed points out of range")
@@ -213,15 +223,11 @@ def _range_restriction(f: Relation) -> tuple[Relation, list[int]]:
     acc = 0
     for row in f.rows:
         acc |= row
-    old_of_new = list(iter_bits(acc))
-    new_of_old = {old: new for new, old in enumerate(old_of_new)}
-    sub_rows = []
-    for old in old_of_new:
-        row = 0
-        for y in iter_bits(f.rows[old]):
-            row |= 1 << new_of_old[y]
-        sub_rows.append(row)
-    return Relation(len(old_of_new), tuple(sub_rows)), old_of_new
+    # relabel the range to the front; its rows then mention only the front
+    order = sorted(range(f.n), key=lambda x: not (acc >> x) & 1)
+    new_of_old = sorted(range(f.n), key=order.__getitem__)  # the inverse permutation
+    k = acc.bit_count()
+    return Relation(k, _relabel(f.rows, new_of_old)[:k]), order[:k]
 
 
 def gamma_witness(f: Relation) -> GammaWitness:
@@ -248,9 +254,10 @@ def gamma_witness(f: Relation) -> GammaWitness:
         restricted_to = tuple(old_of_new)
         inv = inverse(target)
 
-    stage1 = reflexive_pair_witness(target)
+    # target is full, idempotent and nontrivial, so inv is full and idempotent
+    stage1 = _reflexive_pair(target)
     x, y = stage1.result
-    stage2 = gamma_from_seed(inv, x, y)
+    stage2 = _gamma_from_seed(inv, x, y)
     a, z = stage2.result  # (a,a),(a,z),(z,z) in inv, hence (z,z),(z,a),(a,a) in target
     pair = (old_of_new[z], old_of_new[a])
 

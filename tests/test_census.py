@@ -24,7 +24,7 @@ from finrel import (
     satisfies_gamma,
     survey,
 )
-from finrel.census import _idempotent_in_partition
+from finrel.census import _full_classes, _idempotent_in_partition
 
 
 class TestFullEnumeration:
@@ -226,7 +226,34 @@ def _orbit_size(f: Relation) -> int:
     return total // aut
 
 
+def _burnside_by_subsets(n: int) -> int:
+    # a relation fixed by sigma is one row per cycle C, chosen among the
+    # nonempty sets that sigma^|C| maps onto themselves, counted here one by one
+    perms = list(itertools.permutations(range(n)))
+    subsets = [{y for y in range(n) if (s >> y) & 1} for s in range(1, 1 << n)]
+    total = 0
+    for perm in perms:
+        fixed, seen = 1, set()
+        for x in range(n):
+            if x in seen:
+                continue
+            cycle = [x]
+            while perm[cycle[-1]] != x:
+                cycle.append(perm[cycle[-1]])
+            seen.update(cycle)
+            power = list(range(n))
+            for _ in cycle:
+                power = [perm[p] for p in power]
+            fixed *= sum(1 for s in subsets if {power[y] for y in s} == s)
+        total += fixed
+    return total // len(perms)
+
+
 class TestSurveyUpToIso:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_burnside_class_count_matches_subset_count(self, n):
+        assert _full_classes(n) == _burnside_by_subsets(n)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_weighted_class_counts_reproduce_all_mode(self, n):
         iso = survey(n, mode="up_to_iso")

@@ -282,6 +282,13 @@ class TestAgainstOracleExhaustively:
             assert o.pairs_of(inverse(f)) == o.o_inverse(pairs)
 
 
+class TestOutsideCounts:
+    @pytest.mark.parametrize("n,count", [(1, 2), (2, 11), (3, 123), (4, 2360)])
+    def test_idempotent_relations_are_oeis_a121337(self, n, count):
+        # idempotent relations on n labeled points, empty rows allowed
+        assert sum(1 for f in all_relations(n) if is_idempotent(f)) == count
+
+
 class TestStructuralFacts:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_gamma_implies_two_point_implies_nontrivial(self, n):

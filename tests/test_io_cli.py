@@ -259,6 +259,40 @@ class TestSurveyCommand:
         assert code == 0
         assert json.loads(out)["mode"] == "up_to_iso"
 
+    def test_up_to_iso_csv_four_points(self, capsys):
+        code, out, _ = run_cli(capsys, "survey", "--n", "4", "--up-to-iso")
+        assert code == 0
+        assert out == (
+            "# finrel survey csv v1: n,full,idempotent_full,nontrivial_idempotent,"
+            "trivial_idempotent,gamma_idempotent,counterexamples\n"
+            "4,2340,80,71,9,71,0\n"
+        )
+
+    def test_up_to_iso_json_four_points(self, capsys):
+        code, out, _ = run_cli(capsys, "survey", "--n", "4", "--up-to-iso", "--json")
+        assert code == 0
+        expected = {
+            "n": 4,
+            "mode": "up_to_iso",
+            "counts": {
+                "full": 2340,
+                "idempotent_full": 80,
+                "nontrivial_idempotent": 71,
+                "trivial_idempotent": 9,
+                "gamma_idempotent": 71,
+                "surjective_idempotent": 44,
+                "identity_count": 1,
+            },
+            "counterexamples": [],
+        }
+        assert out == json.dumps(expected, indent=2) + "\n"
+
+    def test_up_to_iso_over_cap(self, capsys):
+        code, out, err = run_cli(capsys, "survey", "--n", "5", "--up-to-iso")
+        assert code == 2
+        assert out == ""
+        assert "outside" in err
+
     def test_workers_do_not_change_output(self, capsys):
         _, out1, _ = run_cli(capsys, "survey", "--n", "3")
         _, out2, _ = run_cli(capsys, "survey", "--n", "3", "--workers", "3")

@@ -17,7 +17,12 @@ from finrel import (
     reflexive_pair_witness,
     satisfies_gamma,
 )
-from finrel.witness import KIND_GAMMA_FROM_SEED, KIND_REFLEXIVE_PAIR, WitnessChain
+from finrel.witness import (
+    KIND_GAMMA_FROM_SEED,
+    KIND_REFLEXIVE_PAIR,
+    WitnessChain,
+    _range_restriction,
+)
 
 
 def full_square(n):
@@ -150,6 +155,27 @@ class TestGammaPipeline:
 
     def test_deterministic(self):
         assert gamma_witness(NON_SURJECTIVE) == gamma_witness(NON_SURJECTIVE)
+
+    @pytest.mark.parametrize("f", [NON_SURJECTIVE, full_square(3)],
+                             ids=["non_surjective", "full_square"])
+    def test_checks_idempotence_once(self, f, monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return is_idempotent(g)
+
+        monkeypatch.setattr("finrel.witness.is_idempotent", counted)
+        gamma_witness(f)
+        assert calls == [f]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_range_restriction_keeps_the_pairs_inside_the_range(self, n):
+        for f in idempotent_relations(n):
+            sub, old_of_new = _range_restriction(f)
+            assert old_of_new == sorted({y for _, y in f.pairs()})
+            lifted = {(old_of_new[a], old_of_new[b]) for a, b in sub.pairs()}
+            assert lifted == {(x, y) for x, y in f.pairs() if x in old_of_new}
 
     def test_traces_replay_in_original_labels(self):
         # stage-1 chain edges run forwards in f, stage-2 chain edges are
