@@ -42,6 +42,7 @@ from .io import RelationParseError, parse_relation, serialize_relation
 from .mahavier import (
     OrderProfile,
     ThreadSet,
+    count_threads,
     gamma_relation,
     iter_threads,
     thread_order_profile,
@@ -72,6 +73,7 @@ __all__ = [
     "apply_permutation",
     "canonical_form",
     "compose",
+    "count_threads",
     "full_relations",
     "gamma_from_seed",
     "gamma_relation",

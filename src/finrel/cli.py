@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from .census import survey
 from .core import PreconditionError, PropertyReport, Relation, compose, inverse, properties, restrict
 from .io import RelationParseError, parse_relation, serialize_relation
-from .mahavier import iter_threads, thread_order_profile, threads_naive, threads_propagate
+from .mahavier import count_threads, iter_threads, thread_order_profile, threads_naive, threads_propagate
 from .witness import GammaWitness, WitnessChain, gamma_from_seed, gamma_witness, reflexive_pair_witness
 
 SURVEY_CSV_HEADER = (
@@ -161,7 +161,11 @@ def _cmd_mahavier(args) -> int:
         if args.naive:
             print(len(threads_naive(f, args.length)))
         else:
-            print(sum(1 for _ in iter_threads(f, args.length)))
+            # Decimal prints counts past the interpreter's 4300-digit limit on
+            # str(int); imported here to keep it out of every start-up
+            from decimal import Decimal
+
+            print(Decimal(count_threads(f, args.length)))
         return 0
     if args.json:
         ts = threads_naive(f, args.length) if args.naive else threads_propagate(f, args.length)

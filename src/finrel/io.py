@@ -22,8 +22,10 @@ class RelationParseError(ValueError):
 def _parse_json(text: str) -> Relation:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise RelationParseError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise RelationParseError("malformed JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise RelationParseError("top-level JSON value must be an object")
     if "n" not in doc:

@@ -1,16 +1,18 @@
 """Generalized inverse limits (Mahavier products) over finite total orders.
 
 A thread of length m for a relation f is a tuple (x_0, ..., x_{m-1}) whose
-later coordinates map onto the earlier ones: for every l < l' the pair
-(x_{l'}, x_l) lies in f, i.e. x_l is a successor of x_{l'}.  The set of all
-threads is the finite analogue of the inverse limit of f over the chain
-0 < 1 < ... < m-1.
+later coordinates map onto the earlier ones: (x_{l'}, x_l) lies in f for
+every l < l' (all pairs), or for l' = l + 1 only (adjacent; the same for
+transitive f, so for every idempotent f).  The threads are the finite
+analogue of the inverse limit of f over the chain 0 < 1 < ... < m-1.
 
-Two constructions are provided: a brute-force filter of all n**m tuples
-(the oracle, capped) and a streaming left-to-right propagation that only
-ever extends feasible prefixes.  With this orientation the threads of the
-canonical gamma relation on two points are exactly the indicator tuples of
-down-sets of the chain: m+1 of them, totally ordered coordinatewise.
+``threads_naive`` filters all n**m tuples (the reference, capped).  The
+engine sums up a prefix by one state, the mask of points allowed as its
+next coordinate.  It starts from all points, and placing v leaves the
+allowed points that map onto v (all pairs) or all points that map onto v
+(adjacent).  The threads of the canonical gamma relation on two points are
+the indicator tuples of down-sets of the chain: m+1 of them, totally
+ordered coordinatewise.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Relation, iter_bits
+from .core import Relation, inverse, iter_bits
 
 NAIVE_TUPLE_CAP = 1 << 20
 
@@ -59,14 +61,19 @@ def _thread_ok(f: Relation, tup: Thread, adjacent_only: bool) -> bool:
     )
 
 
-def threads_naive(f: Relation, m: int, adjacent_only: bool = False) -> ThreadSet:
-    """Filter all n**m coordinate tuples by the thread condition."""
+def _check_length(m: int) -> None:
     if m < 1:
         raise ValueError("chain length must be positive")
-    if f.n ** m > NAIVE_TUPLE_CAP:
-        raise ValueError(
-            f"{f.n}**{m} tuples exceed the brute-force cap {NAIVE_TUPLE_CAP}"
-        )
+    if m > NAIVE_TUPLE_CAP:
+        raise ValueError(f"chain length {m} exceeds the cap {NAIVE_TUPLE_CAP}")
+
+
+def threads_naive(f: Relation, m: int, adjacent_only: bool = False) -> ThreadSet:
+    """Filter all n**m coordinate tuples by the thread condition."""
+    _check_length(m)
+    # with b the cap's bit length, n**m exceeds the cap iff n**min(m, b) does
+    if f.n ** min(m, NAIVE_TUPLE_CAP.bit_length()) > NAIVE_TUPLE_CAP:
+        raise ValueError(f"{f.n}**{m} tuples exceed the brute-force cap {NAIVE_TUPLE_CAP}")
     threads = tuple(
         tup for tup in itertools.product(range(f.n), repeat=m)
         if _thread_ok(f, tup, adjacent_only)
@@ -74,82 +81,73 @@ def threads_naive(f: Relation, m: int, adjacent_only: bool = False) -> ThreadSet
     return ThreadSet(m=m, n=f.n, threads=threads)
 
 
+def _moves(f: Relation, m: int, adjacent_only: bool) -> dict[int, list[tuple[int, int]]]:
+    """The moves (v, next state) of every state a prefix shorter than m reaches;
+    states first reached at length m get none, as no prefix there goes on."""
+    inv = inverse(f).rows
+    moves: dict[int, list[tuple[int, int]]] = {}
+    fresh = {(1 << f.n) - 1}
+    for _ in range(m):
+        for allowed in fresh:
+            moves[allowed] = [
+                (v, inv[v] if adjacent_only else allowed & inv[v]) for v in iter_bits(allowed)
+            ]
+        fresh = {nxt for s in fresh for _, nxt in moves[s]} - moves.keys()
+    moves.update((s, []) for s in fresh)
+    return moves
+
+
 def iter_threads(f: Relation, m: int, adjacent_only: bool = False) -> Iterator[Thread]:
     """Stream the threads of f over a chain of length m in lexicographic order.
 
-    A prefix is summarised by the set of coordinates placed so far (the
-    next value v must satisfy f(v) containing all of them), or by the last
-    coordinate alone in adjacent-only mode.  Prefix states that cannot be
-    extended to full length are pruned via a memoised feasibility check, so
-    output size, not search-space size, bounds the work.
+    A depth-first walk with an explicit stack over the states of the module
+    docstring that steps only into states able to take the rest of the chain.
     """
-    if m < 1:
-        raise ValueError("chain length must be positive")
-    n, rows = f.n, f.rows
-
-    if adjacent_only:
-        # valid successors of a prefix depend only on its last coordinate
-        inv_rows = [0] * n
-        for x, row in enumerate(rows):
-            for y in iter_bits(row):
-                inv_rows[y] |= 1 << x
-
-        feasible: dict[tuple[int, int], bool] = {}
-
-        def can_finish(last: int, remaining: int) -> bool:
-            if remaining == 0:
-                return True
-            key = (last, remaining)
-            if key not in feasible:
-                feasible[key] = any(
-                    can_finish(v, remaining - 1) for v in iter_bits(inv_rows[last])
-                )
-            return feasible[key]
-
-        def walk(prefix: list[int]) -> Iterator[Thread]:
-            if len(prefix) == m:
-                yield tuple(prefix)
-                return
-            last = prefix[-1]
-            for v in iter_bits(inv_rows[last]):
-                if can_finish(v, m - len(prefix) - 1):
-                    prefix.append(v)
-                    yield from walk(prefix)
-                    prefix.pop()
-
-        for v0 in range(n):
-            if can_finish(v0, m - 1):
-                yield from walk([v0])
-        return
-
-    memo: dict[tuple[int, int], bool] = {}
-
-    def extendable(placed: int, remaining: int) -> bool:
-        if remaining == 0:
-            return True
-        key = (placed, remaining)
-        if key not in memo:
-            memo[key] = any(
-                rows[v] & placed == placed and extendable(placed | (1 << v), remaining - 1)
-                for v in range(n)
-            )
-        return memo[key]
-
-    def walk_all(prefix: list[int], placed: int) -> Iterator[Thread]:
-        if len(prefix) == m:
+    _check_length(m)
+    moves = _moves(f, m, adjacent_only)
+    # tails: the most coordinates each state can still take, for those that
+    # cannot take m; alive: the states that can take r more
+    alive, tails = set(moves), {}
+    for r in range(m):
+        kept = {s for s in alive if any(nxt in alive for _, nxt in moves[s])}
+        if kept == alive:
+            break
+        tails.update(dict.fromkeys(alive - kept, r))
+        alive = kept
+    prefix: list[int] = []
+    stack = [iter(moves[(1 << f.n) - 1])]
+    while stack:
+        del prefix[len(stack) - 1:]  # the top iterator chooses the next coordinate
+        left = m - len(stack)  # coordinates that must follow it
+        for v, nxt in stack[-1]:
+            if tails.get(nxt, m) >= left:
+                break
+        else:
+            stack.pop()
+            continue
+        prefix.append(v)
+        if left:
+            stack.append(iter(moves[nxt]))
+        else:
             yield tuple(prefix)
-            return
-        for v in range(n):
-            if rows[v] & placed == placed and extendable(placed | (1 << v), m - len(prefix) - 1):
-                prefix.append(v)
-                yield from walk_all(prefix, placed | (1 << v))
-                prefix.pop()
 
-    yield from walk_all([], 0)
+
+def count_threads(f: Relation, m: int, adjacent_only: bool = False) -> int:
+    """The number of threads, by m forward steps of exact prefix counts per state."""
+    _check_length(m)
+    moves = _moves(f, m, adjacent_only)
+    counts = {(1 << f.n) - 1: 1}
+    for _ in range(m):
+        ahead: dict[int, int] = {}
+        for allowed, count in counts.items():
+            for _, nxt in moves[allowed]:
+                ahead[nxt] = ahead.get(nxt, 0) + count
+        counts = ahead
+    return sum(counts.values())
 
 
 def threads_propagate(f: Relation, m: int, adjacent_only: bool = False) -> ThreadSet:
-    """Same thread set as ``threads_naive`` but built by propagation."""
+    """Same thread set as ``threads_naive``, streamed by ``iter_threads``."""
     return ThreadSet(m=m, n=f.n, threads=tuple(iter_threads(f, m, adjacent_only)))
 
 

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
+from decimal import Decimal
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finrel import (
     Relation,
@@ -56,6 +61,10 @@ class TestParse:
             parse_relation('{"pairs":[]}')
         with pytest.raises(RelationParseError, match="integer"):
             parse_relation('{"n":"3","pairs":[]}')
+
+    def test_rejects_overlong_integer(self):
+        with pytest.raises(RelationParseError, match="malformed JSON"):
+            parse_relation('{"n": %s, "pairs": []}' % ("1" * 5000))
 
     def test_carrier_limit(self):
         top = '{"n": %d, "pairs": [[%d, 0]]}' % (MAX_CARRIER, MAX_CARRIER - 1)
@@ -166,6 +175,14 @@ class TestCheckCommand:
         assert code == 2
         assert out == ""
         assert "field 'n'" in err and "exceeds" in err
+
+    def test_deeply_nested_json_is_a_parse_error(self, tmp_path, capsys):
+        doc = tmp_path / "deep.json"
+        doc.write_text('{"n": 1, "pairs": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = run_cli(capsys, "check", str(doc))
+        assert code == 2
+        assert out == ""
+        assert "malformed JSON" in err
 
     def test_matrix_and_json_give_same_report(self, tmp_path, capsys):
         f = gamma_relation()
@@ -355,6 +372,34 @@ class TestMahavierCommand:
         assert code == 2
         assert "positive" in err
 
+    def test_count_only_bad_length(self, capsys):
+        code, _, err = run_cli(capsys, "mahavier", bundled("gamma"), "--length", "0",
+                               "--count-only")
+        assert code == 2
+        assert "positive" in err
+
+    @pytest.mark.parametrize("flags", [["--count-only"], ["--count-only", "--naive"], []])
+    def test_length_past_the_cap(self, capsys, flags):
+        code, out, err = run_cli(capsys, "mahavier", bundled("gamma"),
+                                 "--length", "10000000000", *flags)
+        assert code == 2
+        assert out == "" and "exceeds the cap" in err
+
+    def test_count_only_long_chain(self, capsys):
+        code, out, _ = run_cli(capsys, "mahavier", bundled("gamma"),
+                               "--length", "500", "--count-only")
+        assert code == 0
+        assert out == "501\n"
+
+    def test_count_only_prints_counts_of_any_size(self, tmp_path, capsys):
+        square = tmp_path / "square.txt"
+        square.write_text("11\n11\n")
+        code, out, _ = run_cli(capsys, "mahavier", str(square), "--length", "15000",
+                               "--count-only")
+        assert code == 0
+        assert len(out) == 4516 + 1  # 2**15000 has 4516 decimal digits
+        assert Decimal(out) == 2 ** 15000
+
 
 class TestOpCommand:
     def test_compose(self, tmp_path, capsys):
@@ -409,6 +454,58 @@ class TestUsageErrors:
         assert code == 2
 
 
+DOCUMENTS = st.one_of(
+    st.text(max_size=60),
+    st.sampled_from(["gamma", "t"]).map(lambda name: Path(bundled(name)).read_text()),
+    relations(max_n=4).map(lambda f: serialize_relation(f, "json")),
+    relations(max_n=4).map(lambda f: serialize_relation(f, "matrix")),
+)
+JUNK = st.one_of(st.sampled_from(["-1", "0", "1", "2", "0,1", "x", "", "--json", "-h"]),
+                 st.text(max_size=8))
+
+
+@st.composite
+def cli_arguments(draw, path, other):
+    """One command line over the documents at ``path`` and ``other``."""
+    maybe = lambda *flag: list(flag) if draw(st.booleans()) else []
+    command = draw(st.sampled_from(["check", "witness", "op", "mahavier"]))
+    if command == "check":
+        expects = draw(st.lists(st.one_of(
+            st.sampled_from(["gamma=true", "trivial=false", "full=1"]), JUNK), max_size=2))
+        args = [path] + [arg for flag in expects for arg in ("--expect", flag)]
+    elif command == "witness":
+        args = ([path] + maybe("--lemma", draw(st.sampled_from(["1", "2", "theorem", "3"])))
+                + maybe("--seed", draw(JUNK)))
+    elif command == "op":
+        operation = draw(st.sampled_from(["compose", "inverse", "restrict", "frobnicate"]))
+        args = ([operation] + [path, other][:draw(st.integers(1, 2))]
+                + maybe("--points", draw(JUNK))
+                + maybe("--form", draw(st.sampled_from(["json", "matrix", "csv"]))))
+    else:
+        count_only = draw(st.booleans())
+        naive = draw(st.booleans())
+        longest = 600 if count_only and not naive else 6
+        args = ([path, "--length", str(draw(st.integers(-1, longest)))]
+                + (["--count-only"] if count_only else []) + (["--naive"] if naive else [])
+                + maybe("--transpose") + maybe("--json"))
+    return [command] + args + maybe(draw(JUNK))
+
+
+class TestFuzzCli:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), DOCUMENTS, DOCUMENTS)
+    def test_exit_code_without_exceptions(self, data, text, other_text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, other = os.path.join(tmp, "a"), os.path.join(tmp, "b")
+            Path(path).write_text(text, errors="surrogatepass")
+            Path(other).write_text(other_text, errors="surrogatepass")
+            argv = data.draw(cli_arguments(path, other))
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = run(argv)
+        assert code in (0, 1, 2), argv
+
+
 class TestDependencies:
     def test_import_loads_no_numpy(self):
         src = Path(__file__).resolve().parents[1] / "src"
@@ -417,3 +514,12 @@ class TestDependencies:
         done = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "False"
+
+    def test_module_entry_point(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-m", "finrel", "mahavier", bundled("gamma"),
+             "--length", "10", "--count-only"],
+            env=env, capture_output=True, text=True, check=True)
+        assert done.stdout == "11\n"

@@ -1,8 +1,13 @@
+from types import SimpleNamespace
+
 import pytest
 
 import oracles as o
 from finrel import (
     Relation,
+    all_relations,
+    compose,
+    count_threads,
     full_relations,
     gamma_relation,
     identity,
@@ -17,10 +22,15 @@ from finrel import (
     threads_naive,
     threads_propagate,
 )
+from finrel import mahavier
 
 
 def full_square(n):
     return Relation(n, tuple((1 << n) - 1 for _ in range(n)))
+
+
+def is_transitive(f):
+    return all(sq & ~row == 0 for sq, row in zip(compose(f, f).rows, f.rows))
 
 
 class TestGammaRelation:
@@ -60,6 +70,27 @@ class TestThreadsNaive:
         with pytest.raises(ValueError, match="cap"):
             threads_naive(full_square(4), 11)
 
+    def test_cap_decided_without_the_power(self):
+        # 3**(10**9) would take minutes to form as an exact integer
+        with pytest.raises(ValueError, match="cap"):
+            threads_naive(full_square(3), 10 ** 9)
+
+    def test_cap_keeps_its_answer_for_two_or_more_points(self, monkeypatch):
+        # only the cap's decision is under test, so no tuple is generated
+        monkeypatch.setattr(mahavier, "itertools", SimpleNamespace(product=lambda *a, **k: ()))
+        for n in (2, 3, 4, 31, 32, 1024, 1025):
+            for m in range(1, 30):
+                try:
+                    threads_naive(full_square(n), m)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == (n ** m <= mahavier.NAIVE_TUPLE_CAP), (n, m)
+
+    def test_cap_bounds_the_length_on_one_point(self):
+        with pytest.raises(ValueError, match="length"):
+            threads_naive(identity(1), (1 << 20) + 1)
+
 
 class TestThreadsPropagate:
     def test_gamma_count_law(self):
@@ -81,11 +112,28 @@ class TestThreadsPropagate:
         got = list(iter_threads(full_square(2), 3))
         assert got == sorted(got)
 
+    def test_gamma_thousand_steps(self):
+        ts = threads_propagate(gamma_relation(), 1000)
+        assert len(ts) == 1001
+        assert ts.threads[0] == (0,) * 1000 and ts.threads[-1] == (1,) * 1000
+
+    def test_walk_skips_dead_prefixes(self):
+        # 40 layers of two points, each mapping onto both points of the layer
+        # below: about 2**41 prefixes, all dead before length 50, come before
+        # the one thread of the self-loop at point 80
+        rows = [0b11 << (2 * layer - 2) if layer else 0 for layer in range(40) for _ in range(2)]
+        f = Relation(81, tuple(rows) + (1 << 80,))
+        assert list(iter_threads(f, 50, adjacent_only=True)) == [(80,) * 50]
+        assert count_threads(f, 50, adjacent_only=True) == 1
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_naive_exhaustively(self, n):
-        for f in full_relations(n):
+        for f in all_relations(n):
             for m in (1, 2, 3, 4):
-                assert threads_propagate(f, m) == threads_naive(f, m)
+                for adjacent in (False, True):
+                    naive = threads_naive(f, m, adjacent)
+                    assert threads_propagate(f, m, adjacent) == naive
+                    assert count_threads(f, m, adjacent) == len(naive)
 
     def test_matches_naive_random_four_points(self):
         from random import Random
@@ -112,12 +160,46 @@ class TestThreadsPropagate:
         assert ts == threads_naive(inv, 2)
 
 
+class TestCountThreads:
+    @pytest.mark.parametrize("adjacent", [False, True])
+    def test_many_points_short_chain(self, adjacent):
+        # 30 points at length 2: 900 and 465 threads from a handful of states,
+        # where a state per set of placed points would reach 2**30 of them
+        everything = [(a, b) for a in range(30) for b in range(30)]
+        assert count_threads(full_square(30), 2, adjacent) == 900
+        assert list(iter_threads(full_square(30), 2, adjacent)) == everything
+        order = Relation(30, tuple((1 << (x + 1)) - 1 for x in range(30)))
+        assert count_threads(order, 2, adjacent) == 465
+        assert list(iter_threads(order, 2, adjacent)) == [(a, b) for a, b in everything if a <= b]
+
+    def test_rejects_length_past_the_cap(self):
+        too_long = mahavier.NAIVE_TUPLE_CAP + 1
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            count_threads(gamma_relation(), too_long)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            next(iter_threads(gamma_relation(), too_long))
+
+    def test_gamma_count_law_long_chains(self):
+        for m in (1, 2, 500, 100_000):
+            assert count_threads(gamma_relation(), m) == m + 1
+
+    def test_full_square_counts_every_tuple(self):
+        assert count_threads(full_square(3), 200) == 3 ** 200
+        assert count_threads(full_square(3), 200, adjacent_only=True) == 3 ** 200
+
+    def test_rejects_bad_length(self):
+        with pytest.raises(ValueError, match="positive"):
+            count_threads(gamma_relation(), 0)
+
+
 class TestAdjacentVersusAllPairs:
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_coincide_for_idempotent(self, n):
-        for f in full_relations(n):
-            if not is_idempotent(f):
-                continue
+        # every idempotent relation is transitive, and transitivity alone
+        # makes the adjacent pairs imply all the others
+        transitive = [f for f in all_relations(n) if is_transitive(f)]
+        assert len(transitive) == [1, 2, 13, 171, 3994][n]  # OEIS A006905
+        for f in transitive:
             for m in (1, 2, 3, 5):
                 assert (
                     threads_propagate(f, m, adjacent_only=True)
