@@ -11,10 +11,11 @@ exists to produce.
 
 The n=5 space holds 31**5 = 28,629,151 candidates, too many to visit one
 by one in pure Python.  An idempotent relation is transitive, so a
-backtracker places the rows under a fixed row 0 and drops a row as soon as
-it breaks transitivity; at n=5 only 47,262 relations reach the exact
+backtracker places the rows from row 0 on and drops a row as soon as it
+breaks transitivity; at n=5 only 47,262 relations reach the exact
 idempotence test.  Exhaustive agreement tests at small n pin it to the filter.
-Mode ``up_to_iso`` runs the same scan, keeps the idempotent relations that
+The census is one sequential pass of that backtracker into one tally.
+Mode ``up_to_iso`` runs the same pass, keeps the idempotent relations that
 no relabeling makes smaller, and counts the classes of full relations by
 Burnside's lemma instead of visiting them.
 """
@@ -24,8 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from random import Random
 from typing import Iterator
 
@@ -41,10 +41,9 @@ from .core import (
     two_point_witness,
 )
 from .io import relation_to_document
-from .witness import gamma_witness
+from .witness import _gamma_pipeline
 
 ENUM_CAP = 5
-SURVEY_ALL_CAP = 5
 SURVEY_ISO_CAP = 4
 CANONICAL_CAP = 8
 
@@ -61,14 +60,17 @@ def full_relations(n: int) -> Iterator[Relation]:
         yield Relation(n, rows)
 
 
-def _idempotent_in_partition(n: int, r0: int) -> Iterator[Relation]:
-    """The idempotent full relations whose row 0 is r0, in odometer order.
+def idempotent_relations(n: int) -> Iterator[Relation]:
+    """The idempotent subsequence of ``full_relations(n)``, in the same order.
 
     Idempotent implies transitive: y in f(x) implies f(y) within f(x).  So
     row i lies within every placed row that contains i (``cap``), and
-    contains every placed row x < i whose point x it contains.
+    contains every placed row x < i whose point x it contains; with no row
+    placed, row 0 ranges over every nonempty subset.
     """
-    rows = [r0] * n
+    if not 1 <= n <= ENUM_CAP:
+        raise ValueError(f"carrier size {n} outside 1..{ENUM_CAP}")
+    rows = [0] * n
 
     def place(i: int) -> Iterator[Relation]:
         if i == n:
@@ -90,15 +92,7 @@ def _idempotent_in_partition(n: int, r0: int) -> Iterator[Relation]:
                 rows[i] = v
                 yield from place(i + 1)
 
-    return place(1)
-
-
-def idempotent_relations(n: int) -> Iterator[Relation]:
-    """The idempotent subsequence of ``full_relations(n)``."""
-    if not 1 <= n <= ENUM_CAP:
-        raise ValueError(f"carrier size {n} outside 1..{ENUM_CAP}")
-    for r0 in range(1, 1 << n):
-        yield from _idempotent_in_partition(n, r0)
+    return place(0)
 
 
 def canonical_form(f: Relation) -> Relation:
@@ -183,10 +177,6 @@ class _Tally:
     identity_count: int = 0
     counterexamples: list[dict] = field(default_factory=list)
 
-    def merge(self, other: "_Tally") -> None:
-        for fld in fields(self):
-            setattr(self, fld.name, getattr(self, fld.name) + getattr(other, fld.name))
-
 
 def _flag(tally: _Tally, f: Relation, reason: str) -> None:
     doc = relation_to_document(f)
@@ -216,7 +206,7 @@ def _check_idempotent(f: Relation, tally: _Tally) -> None:
 
     if not trivial:
         try:
-            gw = gamma_witness(f)
+            gw = _gamma_pipeline(f)
         except Exception as exc:  # any failure here is exactly what we scan for
             _flag(tally, f, f"gamma pipeline failed: {exc}")
         else:
@@ -240,15 +230,6 @@ def _check_idempotent(f: Relation, tally: _Tally) -> None:
     inv = inverse(f)
     if compose(inv, inv).rows != inverse(compose(f, f)).rows:
         _flag(tally, f, "squaring does not commute with inversion")
-
-
-def _scan_partition(n: int, r0: int, perms: list[tuple[int, ...]]) -> _Tally:
-    """Check the idempotent relations with row 0 r0 that no perm in ``perms`` makes smaller."""
-    tally = _Tally()
-    for f in _idempotent_in_partition(n, r0):
-        if all(_relabel(f.rows, perm) >= f.rows for perm in perms):
-            _check_idempotent(f, tally)
-    return tally
 
 
 def _full_classes(n: int) -> int:
@@ -276,38 +257,30 @@ def _full_classes(n: int) -> int:
     return total // len(perms)
 
 
-def survey(n: int, mode: str = "all", workers: int = 1) -> SurveyReport:
+def survey(n: int, mode: str = "all") -> SurveyReport:
     """Scan every full relation on n points and certify the equivalences.
 
     ``mode="all"`` visits all (2^n - 1)^n full relations (capped at n=5);
     ``mode="up_to_iso"`` checks canonical representatives only (capped at
-    n=4, since each idempotent relation pays an n! canonicity test).
-    Partitions are split by the value of row 0 and merged in a fixed order,
-    so the report is identical for every worker count.
+    n=4, since each idempotent relation pays an n! canonicity test).  One
+    sequential pass of ``idempotent_relations`` feeds one tally.
     """
     if mode not in ("all", "up_to_iso"):
         raise ValueError(f"unknown survey mode {mode!r}")
-    cap = SURVEY_ALL_CAP if mode == "all" else SURVEY_ISO_CAP
+    cap = ENUM_CAP if mode == "all" else SURVEY_ISO_CAP
     if not 1 <= n <= cap:
         raise ValueError(
             f"carrier size {n} outside 1..{cap} for mode {mode!r}; "
             f"the search space beyond the cap is out of reach"
         )
-    if workers < 1:
-        raise ValueError("workers must be positive")
 
     # the identity permutation never relabels a relation into a smaller one
     perms = list(itertools.permutations(range(n)))[1:] if mode == "up_to_iso" else []
-    partitions = range(1, 1 << n)
     started = time.perf_counter()
     total = _Tally()
-    if workers == 1:
-        parts = [_scan_partition(n, r0, perms) for r0 in partitions]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda r0: _scan_partition(n, r0, perms), partitions))
-    for part in parts:
-        total.merge(part)
+    for f in idempotent_relations(n):
+        if all(_relabel(f.rows, perm) >= f.rows for perm in perms):
+            _check_idempotent(f, total)
     elapsed = time.perf_counter() - started
 
     return SurveyReport(

@@ -12,6 +12,7 @@ byte-identical across runs for fixed inputs; timing goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -124,8 +125,10 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_survey(args) -> int:
+    if args.workers < 1:
+        raise ValueError("workers must be positive")
     mode = "up_to_iso" if args.up_to_iso else "all"
-    report = survey(args.n, mode=mode, workers=args.workers)
+    report = survey(args.n, mode=mode)
     print(f"# survey n={report.n} elapsed {report.elapsed:.2f}s", file=sys.stderr)
     if args.json:
         doc = {
@@ -215,7 +218,9 @@ def _cmd_op(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; each parse returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="finrel",
         description="Relation algebra on finite point sets: predicate checks, "
@@ -244,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="carrier size")
     p.add_argument("--up-to-iso", action="store_true", dest="up_to_iso",
                    help="count isomorphism classes (canonical representatives) only")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, metavar="W",
+                   help="kept for compatibility; must be positive, and the census runs in one thread")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--csv", action="store_true", default=True,
                      help="emit the versioned CSV row (default)")

@@ -7,7 +7,7 @@ row into one machine word makes composition a handful of bitwise ORs per
 row, which is what keeps the exhaustive n=5 scan in the census feasible.
 
 All values are immutable and all operations are pure functions, so
-relations can be shared freely between concurrent workers.
+relations can be shared freely.
 """
 
 from __future__ import annotations

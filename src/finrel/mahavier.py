@@ -54,11 +54,12 @@ def gamma_relation() -> Relation:
 def _thread_ok(f: Relation, tup: Thread, adjacent_only: bool) -> bool:
     if adjacent_only:
         return all(f.has(tup[l + 1], tup[l]) for l in range(len(tup) - 1))
-    return all(
-        f.has(tup[later], tup[earlier])
-        for later in range(1, len(tup))
-        for earlier in range(later)
-    )
+    earlier = 0  # the mask of the coordinates so far; each next one must map onto all of them
+    for x in tup:
+        if f.rows[x] & earlier != earlier:
+            return False
+        earlier |= 1 << x
+    return True
 
 
 def _check_length(m: int) -> None:

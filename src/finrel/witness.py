@@ -244,7 +244,11 @@ def gamma_witness(f: Relation) -> GammaWitness:
     lexicographically least gamma pair.
     """
     _require(f, full=True, idempotent=True, nontrivial=True, op="gamma_witness")
+    return _gamma_pipeline(f)
 
+
+def _gamma_pipeline(f: Relation) -> GammaWitness:
+    """``gamma_witness`` on an f whose preconditions hold."""
     restricted_to: Optional[tuple[int, ...]] = None
     target = f
     old_of_new = list(range(f.n))

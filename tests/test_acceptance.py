@@ -44,7 +44,7 @@ def test_criterion_1_census_has_no_counterexamples():
         assert report.counterexamples == (), f"counterexamples at n={n}"
         assert report.gamma_idempotent == report.nontrivial_idempotent
 
-    report = survey(5, workers=1)
+    report = survey(5)
     assert report.full == 31 ** 5 == 28_629_151
     assert report.counterexamples == ()
     assert report.gamma_idempotent == report.nontrivial_idempotent

@@ -24,7 +24,8 @@ from finrel import (
     satisfies_gamma,
     survey,
 )
-from finrel.census import _full_classes, _idempotent_in_partition
+from finrel.census import _full_classes
+from test_io_cli import run_cli
 
 
 class TestFullEnumeration:
@@ -145,8 +146,9 @@ class TestIdempotentPower:
 class TestFastIdempotenceKernel:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_agrees_with_packed_filter(self, n):
+        enumerated = [f.rows for f in idempotent_relations(n)]
         for r0 in range(1, 1 << n):
-            from_kernel = [f.rows for f in _idempotent_in_partition(n, r0)]
+            from_kernel = [rows for rows in enumerated if rows[0] == r0]
             reference = [
                 (r0,) + rest
                 for rest in itertools.product(range(1, 1 << n), repeat=n - 1)
@@ -193,10 +195,23 @@ class TestSurvey:
             assert r.counterexamples == ()
 
     @pytest.mark.parametrize("n", [3, 4])
-    def test_worker_invariance(self, n):
-        lone = survey(n, workers=1)
-        crowd = survey(n, workers=4)
-        assert replace(lone, elapsed=0.0) == replace(crowd, elapsed=0.0)
+    def test_worker_invariance(self, n, capsys):
+        for fmt in ([], ["--json"]):
+            lone = run_cli(capsys, "survey", "--n", str(n), "--workers", "1", *fmt)
+            crowd = run_cli(capsys, "survey", "--n", str(n), "--workers", "4", *fmt)
+            assert lone[0] == 0 and lone[1]
+            assert crowd[:2] == lone[:2]
+
+    def test_witness_preconditions_are_not_decided_again(self, monkeypatch):
+        import finrel.witness as witness_mod
+        calls = []
+        for name in ("is_full", "is_idempotent", "is_trivial"):
+            real = getattr(witness_mod, name)
+            monkeypatch.setattr(witness_mod, name,
+                                lambda f, name=name, real=real: calls.append(name) or real(f))
+        r = survey(3)
+        assert r.nontrivial_idempotent > 0 and r.counterexamples == ()
+        assert calls == []
 
     def test_deterministic(self):
         a = survey(2)
@@ -210,8 +225,6 @@ class TestSurvey:
             survey(5, mode="up_to_iso")
         with pytest.raises(ValueError, match="mode"):
             survey(2, mode="everything")
-        with pytest.raises(ValueError, match="workers"):
-            survey(2, workers=0)
 
 
 def _orbit_size(f: Relation) -> int:

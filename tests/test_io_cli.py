@@ -320,12 +320,19 @@ class TestSurveyCommand:
         assert code == 2
         assert "outside" in err
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_must_be_positive(self, capsys, workers):
+        code, out, err = run_cli(capsys, "survey", "--n", "2", "--workers", workers)
+        assert code == 2
+        assert out == ""
+        assert "workers" in err
+
     def test_counterexamples_flip_exit_code(self, capsys, monkeypatch):
         import finrel.cli as cli_mod
         real = cli_mod.survey
 
-        def doctored(n, mode="all", workers=1):
-            report = real(n, mode=mode, workers=workers)
+        def doctored(n, mode="all"):
+            report = real(n, mode=mode)
             from dataclasses import replace
             return replace(report, counterexamples=({"n": n, "pairs": [], "reason": "forced"},))
 
@@ -391,6 +398,14 @@ class TestMahavierCommand:
         assert code == 0
         assert out == "501\n"
 
+    def test_naive_count_at_the_length_cap(self, tmp_path, capsys):
+        one = tmp_path / "one.json"
+        one.write_text('{"n": 1, "pairs": [[0, 0]]}')
+        code, out, _ = run_cli(capsys, "mahavier", str(one), "--length", str(1 << 20),
+                               "--count-only", "--naive")
+        assert code == 0
+        assert out == "1\n"
+
     def test_count_only_prints_counts_of_any_size(self, tmp_path, capsys):
         square = tmp_path / "square.txt"
         square.write_text("11\n11\n")
@@ -436,6 +451,21 @@ class TestOpCommand:
         code, _, err = run_cli(capsys, "op", "compose", bundled("gamma"), bundled("t"))
         assert code == 2
         assert "mismatch" in err
+
+
+class TestRepeatedRuns:
+    def test_no_argument_state_leaks_between_runs(self, capsys):
+        code, out, err = run_cli(capsys, "check", bundled("t"), "--expect", "trivial=true")
+        assert code == 0 and err == ""
+        assert json.loads(out)["trivial"] is True
+        code, out, err = run_cli(capsys, "check", bundled("gamma"))
+        assert code == 0
+        assert "check:" not in err
+        assert json.loads(out)["trivial"] is False
+        code, out, _ = run_cli(capsys, "survey", "--n", "2", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["mode"] == "all" and doc["counts"]["full"] == 9
 
 
 class TestUsageErrors:
@@ -510,6 +540,14 @@ class TestDependencies:
     def test_import_loads_no_numpy(self):
         src = Path(__file__).resolve().parents[1] / "src"
         probe = "import sys, finrel, finrel.cli; print('numpy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"
+
+    def test_import_loads_no_thread_pool(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = "import sys, finrel, finrel.cli; print('concurrent.futures' in sys.modules)"
         env = dict(os.environ, PYTHONPATH=str(src))
         done = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, check=True)

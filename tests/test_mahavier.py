@@ -91,6 +91,18 @@ class TestThreadsNaive:
         with pytest.raises(ValueError, match="length"):
             threads_naive(identity(1), (1 << 20) + 1)
 
+    def test_longest_chain_on_one_point(self):
+        # one pass per tuple: checking all pairs of 2**20 coordinates would not finish
+        ts = threads_naive(identity(1), mahavier.NAIVE_TUPLE_CAP)
+        assert len(ts) == 1 and ts.threads[0] == (0,) * mahavier.NAIVE_TUPLE_CAP
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_oracle(self, n):
+        for f in all_relations(n):
+            pairs = set(f.pairs())
+            for m in (1, 2, 3):
+                assert threads_naive(f, m).threads == tuple(sorted(o.o_threads(n, pairs, m)))
+
 
 class TestThreadsPropagate:
     def test_gamma_count_law(self):
