@@ -8,6 +8,11 @@ row, which is what keeps the exhaustive n=5 scan in the census feasible.
 
 All values are immutable and all operations are pure functions, so
 relations can be shared freely.
+
+``Relation(...)``, ``Relation.from_pairs`` and the parsers in ``io`` check
+every row.  Rows that are valid by construction skip those checks through
+``Relation._trusted``: the results of ``compose`` and ``inverse``, the range
+restriction in ``witness`` and the leaves of the census backtracker.
 """
 
 from __future__ import annotations
@@ -55,6 +60,15 @@ class Relation:
                 raise ValueError(f"row {x} mentions a point outside 0..{self.n - 1}")
 
     @classmethod
+    def _trusted(cls, n: int, rows: tuple[int, ...]) -> "Relation":
+        """A relation on rows already known to be n ints in 0..2^n-1; no checks."""
+        f = object.__new__(cls)
+        fields = f.__dict__  # the frozen __setattr__ would refuse these writes
+        fields["n"] = n
+        fields["rows"] = rows
+        return f
+
+    @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Relation":
         rows = [0] * n
         for x, y in pairs:
@@ -87,6 +101,32 @@ def identity(n: int) -> Relation:
     return Relation(n, tuple(1 << x for x in range(n)))
 
 
+def _compose_rows(frows: Sequence[int], grows: Sequence[int]) -> list[int]:
+    """The packed rows of f then g: row x is the union of g's rows over f(x)."""
+    out = []
+    for row in frows:
+        acc = 0
+        while row:
+            low = row & -row
+            acc |= grows[low.bit_length() - 1]
+            row ^= low
+        out.append(acc)
+    return out
+
+
+def _inverse_rows(rows: Sequence[int]) -> list[int]:
+    """The packed rows of the transpose: bit x of row y set when bit y of row x is."""
+    out = [0] * len(rows)
+    bit = 1
+    for row in rows:
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= bit
+            row ^= low
+        bit <<= 1
+    return out
+
+
 def compose(f: Relation, g: Relation) -> Relation:
     """Relational composition, first f then g: result(x) = g[f(x)].
 
@@ -94,24 +134,12 @@ def compose(f: Relation, g: Relation) -> Relation:
     """
     if f.n != g.n:
         raise ValueError(f"carrier size mismatch: {f.n} != {g.n}")
-    grows = g.rows
-    out = []
-    for row in f.rows:
-        acc = 0
-        for y in iter_bits(row):
-            acc |= grows[y]
-        out.append(acc)
-    return Relation(f.n, tuple(out))
+    return Relation._trusted(f.n, tuple(_compose_rows(f.rows, g.rows)))
 
 
 def inverse(f: Relation) -> Relation:
     """The transpose {(y, x) : (x, y) in f}."""
-    out = [0] * f.n
-    for x, row in enumerate(f.rows):
-        bit = 1 << x
-        for y in iter_bits(row):
-            out[y] |= bit
-    return Relation(f.n, tuple(out))
+    return Relation._trusted(f.n, tuple(_inverse_rows(f.rows)))
 
 
 def image(f: Relation, points: Iterable[int]) -> frozenset[int]:
@@ -162,14 +190,7 @@ def is_full(f: Relation) -> bool:
 
 def is_idempotent(f: Relation) -> bool:
     """f composed with itself equals f."""
-    rows = f.rows
-    for row in rows:
-        acc = 0
-        for y in iter_bits(row):
-            acc |= rows[y]
-        if acc != row:
-            return False
-    return True
+    return _compose_rows(f.rows, f.rows) == list(f.rows)
 
 
 def is_surjective(f: Relation) -> bool:

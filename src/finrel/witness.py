@@ -227,7 +227,7 @@ def _range_restriction(f: Relation) -> tuple[Relation, list[int]]:
     order = sorted(range(f.n), key=lambda x: not (acc >> x) & 1)
     new_of_old = sorted(range(f.n), key=order.__getitem__)  # the inverse permutation
     k = acc.bit_count()
-    return Relation(k, _relabel(f.rows, new_of_old)[:k]), order[:k]
+    return Relation._trusted(k, _relabel(f.rows, new_of_old)[:k]), order[:k]
 
 
 def gamma_witness(f: Relation) -> GammaWitness:
@@ -244,16 +244,14 @@ def gamma_witness(f: Relation) -> GammaWitness:
     lexicographically least gamma pair.
     """
     _require(f, full=True, idempotent=True, nontrivial=True, op="gamma_witness")
-    return _gamma_pipeline(f)
+    return _gamma_pipeline(f, inverse(f))
 
 
-def _gamma_pipeline(f: Relation) -> GammaWitness:
-    """``gamma_witness`` on an f whose preconditions hold."""
-    restricted_to: Optional[tuple[int, ...]] = None
-    target = f
-    old_of_new = list(range(f.n))
-    inv = inverse(f)
-    if not all(inv.rows):
+def _gamma_pipeline(f: Relation, inv: Relation) -> GammaWitness:
+    """``gamma_witness`` on an f whose preconditions hold, given inv = inverse(f)."""
+    if all(inv.rows):
+        target, restricted_to = f, None
+    else:
         target, old_of_new = _range_restriction(f)
         restricted_to = tuple(old_of_new)
         inv = inverse(target)
@@ -263,10 +261,12 @@ def _gamma_pipeline(f: Relation) -> GammaWitness:
     x, y = stage1.result
     stage2 = _gamma_from_seed(inv, x, y)
     a, z = stage2.result  # (a,a),(a,z),(z,z) in inv, hence (z,z),(z,a),(a,a) in target
-    pair = (old_of_new[z], old_of_new[a])
-
-    stage1 = _relabel_chain(stage1, old_of_new)
-    stage2 = _relabel_chain(stage2, old_of_new)
+    pair = (z, a)
+    if restricted_to is not None:
+        # the chains ran in the range's own labels; without a restriction they are f's
+        pair = (old_of_new[z], old_of_new[a])
+        stage1 = _relabel_chain(stage1, old_of_new)
+        stage2 = _relabel_chain(stage2, old_of_new)
 
     u, v = pair
     if u == v or not (f.has(u, u) and f.has(u, v) and f.has(v, v)):

@@ -1,0 +1,104 @@
+"""The census certificate can fail: one injected fault per counterexample reason.
+
+An empty counterexample list only certifies the paper's equivalences if every
+check in ``census._check_idempotent`` can fire.  Each test below breaks one
+collaborator that ``finrel.census`` imports, runs the census, and asserts that
+exactly the expected reason is reported, both by ``survey`` and by
+``finrel survey``, which must then exit 1.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+import finrel.census as census
+from finrel import Relation, survey
+from test_io_cli import run_cli
+
+N = 3
+# idempotent, full and nontrivial: (0,0), (0,1), (1,1) is its gamma pattern
+TARGET = Relation.from_pairs(N, [(0, 0), (0, 1), (1, 1), (2, 2)])
+
+
+def only_on_target(real, fault):
+    """``real`` everywhere except on TARGET, where ``fault`` answers instead."""
+    return lambda f, *rest: fault(f, *rest) if f == TARGET else real(f, *rest)
+
+
+def assert_flagged(capsys, reason, count=None):
+    report = survey(N)
+    assert report.counterexamples
+    assert {doc["reason"] for doc in report.counterexamples} == {reason}
+    if count is not None:
+        assert len(report.counterexamples) == count
+    code, out, _ = run_cli(capsys, "survey", "--n", str(N))
+    assert code == 1
+    assert out.splitlines()[-1].endswith(f",{len(report.counterexamples)}")
+
+
+def test_target_passes_unbroken():
+    assert any(f == TARGET for f in census.idempotent_relations(N))
+    assert survey(N).counterexamples == ()
+
+
+@pytest.mark.parametrize("name", ["satisfies_gamma", "two_point_witness"])
+def test_a_missed_pattern_breaks_the_equivalence(name, monkeypatch, capsys):
+    monkeypatch.setattr(census, name, only_on_target(getattr(census, name), lambda f: None))
+    assert_flagged(capsys, "trivial / gamma / two-point disagreement", count=1)
+
+
+def test_a_failing_pipeline_is_reported_with_its_error(monkeypatch, capsys):
+    def fail(f, inv):
+        raise AssertionError("injected")
+
+    monkeypatch.setattr(census, "_gamma_pipeline", only_on_target(census._gamma_pipeline, fail))
+    assert_flagged(capsys, "gamma pipeline failed: injected", count=1)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda gw: replace(gw, pair=(1, 0)),
+    lambda gw: replace(gw, pair=(0, 0)),
+    lambda gw: replace(gw, reflexive_stage=replace(gw.reflexive_stage, chain=(0,) * (N + 1))),
+    lambda gw: replace(gw, extension_stage=replace(gw.extension_stage, chain=(0,) * (N + 1))),
+], ids=["pair_outside_f", "pair_not_distinct", "long_reflexive_chain", "long_extension_chain"])
+def test_an_invalid_witness_is_caught_by_the_census_itself(corrupt, monkeypatch, capsys):
+    real = census._gamma_pipeline
+    monkeypatch.setattr(census, "_gamma_pipeline",
+                        only_on_target(real, lambda f, inv: corrupt(real(f, inv))))
+    assert_flagged(capsys, "gamma pipeline returned an invalid witness", count=1)
+
+
+def test_a_trivial_surjection_must_be_the_identity(monkeypatch, capsys):
+    monkeypatch.setattr(census, "is_surjective", lambda f: True)
+    assert_flagged(capsys, "trivial idempotent surjection differs from the identity")
+
+
+def test_the_law_compares_both_sides(monkeypatch, capsys):
+    real = census._inverse_rows
+
+    def drop_lowest_bit(rows):
+        out = real(rows)
+        if list(rows) == list(TARGET.rows):
+            x = next(x for x, row in enumerate(out) if row)
+            out[x] &= out[x] - 1
+        return out
+
+    # the census's own transpose of f o f; its inverse(f) stays correct
+    monkeypatch.setattr(census, "_inverse_rows", drop_lowest_bit)
+    assert_flagged(capsys, "squaring does not commute with inversion", count=1)
+
+
+def test_the_law_squares_f_instead_of_assuming_f_o_f_is_f(monkeypatch, capsys):
+    real = census._compose_rows
+
+    def drop_lowest_bit(frows, grows):
+        out = real(frows, grows)
+        # squares of the tuple TARGET.rows only, so the backtracker's leaf test,
+        # which squares a list, still finds TARGET; the left side of the law
+        # for inverse(TARGET) squares these rows too and is flagged as well
+        if frows == TARGET.rows and grows == TARGET.rows:
+            out[0] &= out[0] - 1
+        return out
+
+    monkeypatch.setattr(census, "_compose_rows", drop_lowest_bit)
+    assert_flagged(capsys, "squaring does not commute with inversion", count=2)

@@ -12,6 +12,7 @@ from finrel import (
     compose,
     full_relations,
     gamma_relation,
+    idempotent_relations,
     identity,
     image,
     inverse,
@@ -26,6 +27,8 @@ from finrel import (
     satisfies_gamma,
     two_point_witness,
 )
+from finrel.core import _compose_rows, _inverse_rows
+from finrel.witness import _range_restriction
 from strategies import relation_pairs, relation_triples, relation_with_permutation, relations
 
 
@@ -280,6 +283,42 @@ class TestAgainstOracleExhaustively:
             assert two_point_witness(f) == o.o_two_point(n, pairs)
             assert o.pairs_of(compose(f, f)) == o.o_compose(pairs, pairs)
             assert o.pairs_of(inverse(f)) == o.o_inverse(pairs)
+
+
+def pairs_of_rows(n, rows):
+    """The pair set of n packed rows, decoded one shift at a time."""
+    assert len(rows) == n and all(0 <= row < 1 << n for row in rows)
+    return frozenset((x, y) for x in range(n) for y in range(n) if (rows[x] >> y) & 1)
+
+
+class TestRowKernels:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_compose_rows_on_every_pair(self, n):
+        rels = list(all_relations(n))
+        for f in rels:
+            for g in rels:
+                want = o.o_compose(o.pairs_of(f), o.pairs_of(g))
+                assert pairs_of_rows(n, _compose_rows(f.rows, g.rows)) == want
+
+    def test_compose_rows_on_every_square_at_three(self):
+        for f in all_relations(3):
+            pairs = o.pairs_of(f)
+            assert pairs_of_rows(3, _compose_rows(f.rows, f.rows)) == o.o_compose(pairs, pairs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_inverse_rows(self, n):
+        for f in all_relations(n):
+            assert pairs_of_rows(n, _inverse_rows(f.rows)) == o.o_inverse(o.pairs_of(f))
+
+
+class TestTrustedConstruction:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_trusted_sites_build_what_validation_accepts(self, n):
+        for f in idempotent_relations(n):
+            for r in (f, inverse(f), compose(f, f), _range_restriction(f)[0]):
+                checked = Relation(r.n, r.rows)
+                assert vars(r) == vars(checked)
+                assert hash(r) == hash(checked)
 
 
 class TestOutsideCounts:

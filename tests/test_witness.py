@@ -2,6 +2,7 @@ from random import Random
 
 import pytest
 
+import oracles as o
 from finrel import (
     PreconditionError,
     Relation,
@@ -21,6 +22,7 @@ from finrel.witness import (
     KIND_GAMMA_FROM_SEED,
     KIND_REFLEXIVE_PAIR,
     WitnessChain,
+    _gamma_pipeline,
     _range_restriction,
 )
 
@@ -201,6 +203,18 @@ class TestGammaPipeline:
                 assert u != v and f.has(u, u) and f.has(u, v) and f.has(v, v)
                 assert len(gw.reflexive_stage.chain) <= n
                 assert len(gw.extension_stage.chain) <= n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pipeline_on_an_outside_inverse_matches_gamma_witness(self, n):
+        # the census hands the pipeline its own inverse; build it here from pairs
+        for f in idempotent_relations(n):
+            if not is_trivial(f):
+                inv = Relation.from_pairs(n, o.o_inverse(o.pairs_of(f)))
+                got = _gamma_pipeline(f, inv)
+                # pair, both chains with their seeds, and restricted_to
+                assert got == gamma_witness(f)
+                got.reflexive_stage.validate(f)
+                got.extension_stage.validate(inverse(f))
 
     def test_random_idempotent_samples(self):
         rng = Random(1701)
