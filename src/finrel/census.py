@@ -48,8 +48,10 @@ from .io import relation_to_document
 from .witness import _gamma_pipeline
 
 ENUM_CAP = 5
-SURVEY_ISO_CAP = 4
+SURVEY_ISO_CAP = 5
 CANONICAL_CAP = 8
+# a broken build flags every relation; keep a sample, count the rest
+COUNTEREXAMPLE_CAP = 100
 
 
 def full_relations(n: int) -> Iterator[Relation]:
@@ -148,9 +150,10 @@ class SurveyReport:
     """Aggregated result of one exhaustive scan.
 
     ``counterexamples`` holds serialized relations that violated any checked
-    equivalence, with the reason; the census claim is precisely that it is
-    empty.  In ``up_to_iso`` mode the counts are per isomorphism class
-    (canonical representatives only).
+    equivalence, with the reason, the first ``COUNTEREXAMPLE_CAP`` of them;
+    ``counterexample_total`` counts them all.  The census claim is precisely
+    that the total is 0.  In ``up_to_iso`` mode the counts are per
+    isomorphism class (canonical representatives only).
     """
 
     n: int
@@ -163,11 +166,14 @@ class SurveyReport:
     surjective_idempotent: int
     identity_count: int
     counterexamples: tuple[dict, ...]
+    counterexample_total: int
     elapsed: float
 
     def __post_init__(self) -> None:
         if self.idempotent_full != self.nontrivial_idempotent + self.trivial_idempotent:
             raise AssertionError("idempotent count does not split into trivial + nontrivial")
+        if len(self.counterexamples) > self.counterexample_total:
+            raise AssertionError("more counterexample reports than counterexamples")
 
 
 @dataclass
@@ -179,12 +185,15 @@ class _Tally:
     surjective_idempotent: int = 0
     identity_count: int = 0
     counterexamples: list[dict] = field(default_factory=list)
+    counterexample_total: int = 0
 
 
 def _flag(tally: _Tally, f: Relation, reason: str) -> None:
-    doc = relation_to_document(f)
-    doc["reason"] = reason
-    tally.counterexamples.append(doc)
+    tally.counterexample_total += 1
+    if len(tally.counterexamples) < COUNTEREXAMPLE_CAP:
+        doc = relation_to_document(f)
+        doc["reason"] = reason
+        tally.counterexamples.append(doc)
 
 
 def _check_idempotent(f: Relation, tally: _Tally) -> None:
@@ -265,8 +274,8 @@ def survey(n: int, mode: str = "all") -> SurveyReport:
     """Scan every full relation on n points and certify the equivalences.
 
     ``mode="all"`` visits all (2^n - 1)^n full relations (capped at n=5);
-    ``mode="up_to_iso"`` checks canonical representatives only (capped at
-    n=4, since each idempotent relation pays an n! canonicity test).  One
+    ``mode="up_to_iso"`` checks canonical representatives only (also capped
+    at n=5; each idempotent relation pays an n! canonicity test).  One
     sequential pass of ``idempotent_relations`` feeds one tally.
     """
     if mode not in ("all", "up_to_iso"):
@@ -298,5 +307,6 @@ def survey(n: int, mode: str = "all") -> SurveyReport:
         surjective_idempotent=total.surjective_idempotent,
         identity_count=total.identity_count,
         counterexamples=tuple(total.counterexamples),
+        counterexample_total=total.counterexample_total,
         elapsed=elapsed,
     )

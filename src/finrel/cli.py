@@ -151,9 +151,9 @@ def _cmd_survey(args) -> int:
         print(
             f"{report.n},{report.full},{report.idempotent_full},"
             f"{report.nontrivial_idempotent},{report.trivial_idempotent},"
-            f"{report.gamma_idempotent},{len(report.counterexamples)}"
+            f"{report.gamma_idempotent},{report.counterexample_total}"
         )
-    return 1 if report.counterexamples else 0
+    return 1 if report.counterexample_total else 0
 
 
 def _cmd_mahavier(args) -> int:

@@ -11,8 +11,8 @@ relations can be shared freely.
 
 ``Relation(...)``, ``Relation.from_pairs`` and the parsers in ``io`` check
 every row.  Rows that are valid by construction skip those checks through
-``Relation._trusted``: the results of ``compose`` and ``inverse``, the range
-restriction in ``witness`` and the leaves of the census backtracker.
+``Relation._trusted``: the results of ``compose`` and ``inverse`` and the
+leaves of the census backtracker.
 """
 
 from __future__ import annotations

@@ -10,10 +10,10 @@ gamma pattern (x,x), (x,z), (z,z).
 ``gamma_witness`` chains the two through the inverse relation: the
 reflexive-pair result for f transposes into a seed for inverse(f), whose
 gamma pattern transposes back into one for f.  When f is not surjective its
-inverse has empty rows and the seeded extension cannot run there; in that
-case the whole pipeline is carried out inside range(f), where the
-restriction of f is full, idempotent, surjective and still nontrivial, and
-the resulting pattern is a pattern of f itself.
+inverse has empty rows and the seeded extension cannot run there; so both
+chains only visit the points of range(f), a bitmask in f's own labels.  The
+restriction of f to its range is full, idempotent, surjective and still
+nontrivial, and the resulting pattern is a pattern of f itself.
 
 Both chain loops assert the structural facts that justify each step (every
 earlier chain point sees the new one, no back-edges, the seed point stays a
@@ -30,8 +30,8 @@ from typing import Optional
 from .core import (
     PreconditionError,
     Relation,
-    _relabel,
     inverse,
+    iter_bits,
     is_full,
     is_idempotent,
     is_trivial,
@@ -81,9 +81,9 @@ class WitnessChain:
 class GammaWitness:
     """Result of the full pipeline: the gamma pair plus both chain traces.
 
-    ``restricted_to`` lists the sub-carrier (the range of f) when the
-    pipeline had to run inside it; chains and pair are always expressed in
-    the original carrier's labels.
+    ``restricted_to`` lists the range of f in ascending order when f is not
+    surjective, and is None otherwise; both chains only visit those points.
+    Chains and pair are always in f's own labels.
     """
 
     pair: tuple[int, int]
@@ -113,26 +113,31 @@ def reflexive_pair_witness(f: Relation) -> WitnessChain:
     until it hits a reflexive one, which happens within n steps.
     """
     _require(f, full=True, idempotent=True, nontrivial=True, op="reflexive_pair_witness")
-    return _reflexive_pair(f)
+    return _reflexive_pair(f.rows, (1 << f.n) - 1)
 
 
-def _reflexive_pair(f: Relation) -> WitnessChain:
-    """``reflexive_pair_witness`` on an f whose preconditions hold."""
-    n, rows = f.n, f.rows
+def _reflexive_pair(rows: tuple[int, ...], rng: int) -> WitnessChain:
+    """``reflexive_pair_witness`` on f cut to the points of ``rng``.
 
-    if all((rows[x] >> x) & 1 for x in range(n)):
+    ``rows`` are those of an f whose preconditions hold, and ``rng`` holds
+    every row (the whole carrier, or range(f)), so f cut to ``rng`` is full,
+    idempotent and nontrivial; every least point is taken among its points.
+    """
+    for x0 in iter_bits(rng):
+        if not (rows[x0] >> x0) & 1:
+            break
+    else:
         # identity properly contained: any off-diagonal (a, b) gives y=a, x=b
-        for a in range(n):
+        for a in iter_bits(rng):
             off = rows[a] & ~(1 << a)
             if off:
                 b = (off & -off).bit_length() - 1
                 return WitnessChain(KIND_REFLEXIVE_PAIR, (), None, (b, a))
         raise AssertionError("nontrivial relation equal to the identity")
 
-    x0 = next(x for x in range(n) if not (rows[x] >> x) & 1)
     chain = [x0]
     visited = 1 << x0
-    for _ in range(n):
+    for _ in range(rng.bit_count()):
         cur = chain[-1]
         fresh = rows[cur] & ~visited
         if not fresh:
@@ -159,30 +164,35 @@ def gamma_from_seed(f: Relation, x: int, y: int) -> WitnessChain:
     appears within n steps, giving (x,x), (x,z), (z,z) in f.
     """
     _require(f, full=True, idempotent=True, op="gamma_from_seed")
-    return _gamma_from_seed(f, x, y)
+    return _gamma_from_seed(f.rows, (1 << f.n) - 1, x, y)
 
 
-def _gamma_from_seed(f: Relation, x: int, y: int) -> WitnessChain:
-    """``gamma_from_seed`` on a full idempotent f; the seed is still checked."""
-    n, rows = f.n, f.rows
+def _gamma_from_seed(rows: tuple[int, ...], rng: int, x: int, y: int) -> WitnessChain:
+    """``gamma_from_seed`` on the relation whose rows are ``rows`` ANDed with ``rng``.
+
+    That relation must be full and idempotent on the points of ``rng``; the
+    seed is still checked.
+    """
+    n = len(rows)
     if not (0 <= x < n and 0 <= y < n):
         raise PreconditionError("seed points out of range")
     if x == y:
         raise PreconditionError("seed points must be distinct")
-    if not f.has(x, x):
+    row_x = rows[x] & rng
+    if not (row_x >> x) & 1:
         raise PreconditionError(f"seed requires ({x}, {x}) in the relation")
-    if not f.has(x, y):
+    if not (row_x >> y) & 1:
         raise PreconditionError(f"seed requires ({x}, {y}) in the relation")
 
     chain = [y]
     visited = 1 << y
     if (rows[y] >> y) & 1:
         return WitnessChain(KIND_GAMMA_FROM_SEED, tuple(chain), (x, y), (x, y))
-    for _ in range(n):
+    for _ in range(rng.bit_count()):
         cur = chain[-1]
         if (rows[cur] >> x) & 1:
             raise AssertionError(f"non-final chain point {cur} has an edge back to the seed")
-        fresh = rows[cur] & ~visited
+        fresh = rows[cur] & rng & ~visited
         if not fresh:
             raise AssertionError("chain exhausted fresh points without a reflexive one")
         nxt = (fresh & -fresh).bit_length() - 1
@@ -202,34 +212,6 @@ def _gamma_from_seed(f: Relation, x: int, y: int) -> WitnessChain:
     raise AssertionError("chain exceeded the carrier size")
 
 
-def _relabel_chain(wc: WitnessChain, old_of_new: list[int]) -> WitnessChain:
-    return WitnessChain(
-        kind=wc.kind,
-        chain=tuple(old_of_new[c] for c in wc.chain),
-        seed=None if wc.seed is None else (old_of_new[wc.seed[0]], old_of_new[wc.seed[1]]),
-        result=(old_of_new[wc.result[0]], old_of_new[wc.result[1]]),
-    )
-
-
-def _range_restriction(f: Relation) -> tuple[Relation, list[int]]:
-    """f cut down to its range, reindexed to 0..|range|-1.
-
-    Successor sets always land inside the range, so only rows are dropped,
-    never individual successors.  For idempotent f the restriction is full,
-    idempotent and surjective on the sub-carrier, and it stays nontrivial
-    whenever f is: a nontriviality witness (x, a) lifts to (c, a) for some
-    c in f(x), and c lies in the range.
-    """
-    acc = 0
-    for row in f.rows:
-        acc |= row
-    # relabel the range to the front; its rows then mention only the front
-    order = sorted(range(f.n), key=lambda x: not (acc >> x) & 1)
-    new_of_old = sorted(range(f.n), key=order.__getitem__)  # the inverse permutation
-    k = acc.bit_count()
-    return Relation._trusted(k, _relabel(f.rows, new_of_old)[:k]), order[:k]
-
-
 def gamma_witness(f: Relation) -> GammaWitness:
     """Produce distinct (x, y) with (x,x), (x,y), (y,y) in f, with traces.
 
@@ -238,38 +220,33 @@ def gamma_witness(f: Relation) -> GammaWitness:
     commutes with squaring; the seeded extension there yields a gamma
     pattern of inverse(f), and transposing it gives one for f.  If f is not
     surjective, inverse(f) has empty rows and the extension chain could
-    starve, so the pipeline first restricts f to its range (full,
-    idempotent, surjective, still nontrivial there) and maps the witness
-    back.  The returned pair is valid for f but not necessarily the
-    lexicographically least gamma pair.
+    starve, so both chains only visit range(f), where f is full,
+    idempotent, surjective and still nontrivial.  The returned pair is
+    valid for f but not necessarily the lexicographically least gamma pair.
     """
     _require(f, full=True, idempotent=True, nontrivial=True, op="gamma_witness")
     return _gamma_pipeline(f, inverse(f))
 
 
 def _gamma_pipeline(f: Relation, inv: Relation) -> GammaWitness:
-    """``gamma_witness`` on an f whose preconditions hold, given inv = inverse(f)."""
-    if all(inv.rows):
-        target, restricted_to = f, None
-    else:
-        target, old_of_new = _range_restriction(f)
-        restricted_to = tuple(old_of_new)
-        inv = inverse(target)
+    """``gamma_witness`` on an f whose preconditions hold, given inv = inverse(f).
 
-    # target is full, idempotent and nontrivial, so inv is full and idempotent
-    stage1 = _reflexive_pair(target)
+    Both chains only visit ``rng``, the range of f as a bitmask.  Every row
+    of f lies in it, so f cut to ``rng`` is full, idempotent and surjective
+    there, and it stays nontrivial: a nontriviality witness (x, a) lifts to
+    (c, a) for some c in f(x), and c lies in the range.  The rows of inv
+    ANDed with ``rng`` are the transpose of that cut, in f's labels.
+    """
+    rng = 0
+    for row in f.rows:
+        rng |= row
+    stage1 = _reflexive_pair(f.rows, rng)
     x, y = stage1.result
-    stage2 = _gamma_from_seed(inv, x, y)
-    a, z = stage2.result  # (a,a),(a,z),(z,z) in inv, hence (z,z),(z,a),(a,a) in target
-    pair = (z, a)
-    if restricted_to is not None:
-        # the chains ran in the range's own labels; without a restriction they are f's
-        pair = (old_of_new[z], old_of_new[a])
-        stage1 = _relabel_chain(stage1, old_of_new)
-        stage2 = _relabel_chain(stage2, old_of_new)
+    stage2 = _gamma_from_seed(inv.rows, rng, x, y)
+    a, z = stage2.result  # (a,a),(a,z),(z,z) in inv, hence (z,z),(z,a),(a,a) in f
 
-    u, v = pair
-    if u == v or not (f.has(u, u) and f.has(u, v) and f.has(v, v)):
-        raise AssertionError(f"pipeline produced an invalid gamma pair ({u}, {v})")
-    return GammaWitness(pair=pair, reflexive_stage=stage1, extension_stage=stage2,
+    if z == a or not (f.has(z, z) and f.has(z, a) and f.has(a, a)):
+        raise AssertionError(f"pipeline produced an invalid gamma pair ({z}, {a})")
+    restricted_to = None if rng == (1 << f.n) - 1 else tuple(iter_bits(rng))
+    return GammaWitness(pair=(z, a), reflexive_stage=stage1, extension_stage=stage2,
                         restricted_to=restricted_to)

@@ -194,6 +194,12 @@ class TestSurvey:
             assert r.gamma_idempotent == r.nontrivial_idempotent
             assert r.counterexamples == ()
 
+    def test_report_counts_every_reported_counterexample(self):
+        r = survey(1)
+        assert r.counterexample_total == 0
+        with pytest.raises(AssertionError, match="more counterexample reports"):
+            replace(r, counterexamples=({"n": 1, "pairs": [], "reason": "forced"},))
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_worker_invariance(self, n, capsys):
         for fmt in ([], ["--json"]):
@@ -222,7 +228,7 @@ class TestSurvey:
         with pytest.raises(ValueError, match="outside"):
             survey(6)
         with pytest.raises(ValueError, match="outside"):
-            survey(5, mode="up_to_iso")
+            survey(6, mode="up_to_iso")
         with pytest.raises(ValueError, match="mode"):
             survey(2, mode="everything")
 

@@ -7,6 +7,7 @@ exactly the expected reason is reported, both by ``survey`` and by
 ``finrel survey``, which must then exit 1.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -25,15 +26,16 @@ def only_on_target(real, fault):
     return lambda f, *rest: fault(f, *rest) if f == TARGET else real(f, *rest)
 
 
-def assert_flagged(capsys, reason, count=None):
-    report = survey(N)
+def assert_flagged(capsys, reason, count=None, n=N):
+    report = survey(n)
     assert report.counterexamples
     assert {doc["reason"] for doc in report.counterexamples} == {reason}
     if count is not None:
-        assert len(report.counterexamples) == count
-    code, out, _ = run_cli(capsys, "survey", "--n", str(N))
+        assert report.counterexample_total == count
+    code, out, _ = run_cli(capsys, "survey", "--n", str(n))
     assert code == 1
-    assert out.splitlines()[-1].endswith(f",{len(report.counterexamples)}")
+    assert out.splitlines()[-1].endswith(f",{report.counterexample_total}")
+    return report
 
 
 def test_target_passes_unbroken():
@@ -102,3 +104,24 @@ def test_the_law_squares_f_instead_of_assuming_f_o_f_is_f(monkeypatch, capsys):
 
     monkeypatch.setattr(census, "_compose_rows", drop_lowest_bit)
     assert_flagged(capsys, "squaring does not commute with inversion", count=2)
+
+
+def test_a_census_that_flags_everything_keeps_a_bounded_sample(monkeypatch, capsys):
+    real = census._inverse_rows
+
+    def drop_lowest_bit(rows):
+        out = real(rows)
+        x = next(x for x, row in enumerate(out) if row)
+        out[x] &= out[x] - 1
+        return out
+
+    # every transpose of f o f loses a pair, so the law fails on every relation
+    monkeypatch.setattr(census, "_inverse_rows", drop_lowest_bit)
+    idempotent = survey(4).idempotent_full
+    assert idempotent > census.COUNTEREXAMPLE_CAP
+    report = assert_flagged(capsys, "squaring does not commute with inversion",
+                            count=idempotent, n=4)
+    assert len(report.counterexamples) == census.COUNTEREXAMPLE_CAP
+    code, out, _ = run_cli(capsys, "survey", "--n", "4", "--json")
+    assert code == 1
+    assert len(json.loads(out)["counterexamples"]) == census.COUNTEREXAMPLE_CAP

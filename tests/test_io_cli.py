@@ -243,6 +243,13 @@ class TestWitnessCommand:
         assert code == 2
         assert "--seed" in err
 
+    def test_negative_seed_is_out_of_range(self, capsys):
+        code, out, err = run_cli(capsys, "witness", bundled("gamma"),
+                                 "--lemma", "2", "--seed=-1,0")
+        assert code == 2
+        assert out == ""
+        assert err == "finrel: error: seed points out of range\n"
+
 
 class TestSurveyCommand:
     def test_csv_two_points(self, capsys):
@@ -304,8 +311,23 @@ class TestSurveyCommand:
         }
         assert out == json.dumps(expected, indent=2) + "\n"
 
+    def test_up_to_iso_json_five_points(self, capsys):
+        code, out, _ = run_cli(capsys, "survey", "--n", "5", "--up-to-iso", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["counts"] == {
+            "full": 248436,
+            "idempotent_full": 485,
+            "nontrivial_idempotent": 464,
+            "trivial_idempotent": 21,
+            "gamma_idempotent": 464,
+            "surjective_idempotent": 239,
+            "identity_count": 1,
+        }
+        assert doc["counterexamples"] == []
+
     def test_up_to_iso_over_cap(self, capsys):
-        code, out, err = run_cli(capsys, "survey", "--n", "5", "--up-to-iso")
+        code, out, err = run_cli(capsys, "survey", "--n", "6", "--up-to-iso")
         assert code == 2
         assert out == ""
         assert "outside" in err
@@ -334,7 +356,8 @@ class TestSurveyCommand:
         def doctored(n, mode="all"):
             report = real(n, mode=mode)
             from dataclasses import replace
-            return replace(report, counterexamples=({"n": n, "pairs": [], "reason": "forced"},))
+            return replace(report, counterexamples=({"n": n, "pairs": [], "reason": "forced"},),
+                           counterexample_total=1)
 
         monkeypatch.setattr(cli_mod, "survey", doctored)
         code, out, _ = run_cli(capsys, "survey", "--n", "2")

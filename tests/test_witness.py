@@ -21,9 +21,9 @@ from finrel import (
 from finrel.witness import (
     KIND_GAMMA_FROM_SEED,
     KIND_REFLEXIVE_PAIR,
+    GammaWitness,
     WitnessChain,
     _gamma_pipeline,
-    _range_restriction,
 )
 
 
@@ -31,8 +31,40 @@ def full_square(n):
     return Relation(n, tuple((1 << n) - 1 for _ in range(n)))
 
 
+def reference_range_restriction(f):
+    """f cut down to its range and relabelled onto 0..k-1, with the old labels."""
+    old_of_new = sorted({y for _, y in f.pairs()})
+    new_of_old = {old: new for new, old in enumerate(old_of_new)}
+    pairs = [(new_of_old[x], new_of_old[y]) for x, y in f.pairs() if x in new_of_old]
+    return Relation.from_pairs(len(old_of_new), pairs), old_of_new
+
+
+def reference_gamma_witness(f):
+    """The pipeline by relabelling: run both chains on f's range as a carrier of
+    its own, then map the pair and the traces back to f's labels."""
+    target, old_of_new = reference_range_restriction(f)
+    stage1 = reflexive_pair_witness(target)
+    stage2 = gamma_from_seed(inverse(target), *stage1.result)
+    a, z = stage2.result
+
+    def lift(wc):
+        return WitnessChain(
+            kind=wc.kind,
+            chain=tuple(old_of_new[c] for c in wc.chain),
+            seed=None if wc.seed is None else (old_of_new[wc.seed[0]], old_of_new[wc.seed[1]]),
+            result=(old_of_new[wc.result[0]], old_of_new[wc.result[1]]),
+        )
+
+    return GammaWitness(
+        pair=(old_of_new[z], old_of_new[a]),
+        reflexive_stage=lift(stage1),
+        extension_stage=lift(stage2),
+        restricted_to=None if target.n == f.n else tuple(old_of_new),
+    )
+
+
 # idempotent, full, nontrivial, and not surjective: its inverse has an
-# empty row, which forces the pipeline through the range restriction
+# empty row, so both chains of the pipeline stay inside its range
 NON_SURJECTIVE = Relation.from_pairs(3, [(0, 0), (0, 1), (1, 1), (2, 0), (2, 1)])
 
 
@@ -108,6 +140,10 @@ class TestGammaFromSeed:
             gamma_from_seed(g, 0, 0)
         with pytest.raises(PreconditionError, match="out of range"):
             gamma_from_seed(g, 0, 5)
+        # bounds are tested before any shift, so no negative-shift ValueError
+        for x, y in [(-1, 0), (0, -1), (0, g.n), (g.n, 0)]:
+            with pytest.raises(PreconditionError, match="^seed points out of range$"):
+                gamma_from_seed(g, x, y)
         with pytest.raises(PreconditionError):
             gamma_from_seed(g, 1, 0)  # (1, 0) missing from gamma
         f = Relation.from_pairs(2, [(0, 1), (1, 0), (1, 1)])
@@ -174,10 +210,24 @@ class TestGammaPipeline:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_range_restriction_keeps_the_pairs_inside_the_range(self, n):
         for f in idempotent_relations(n):
-            sub, old_of_new = _range_restriction(f)
-            assert old_of_new == sorted({y for _, y in f.pairs()})
+            sub, old_of_new = reference_range_restriction(f)
             lifted = {(old_of_new[a], old_of_new[b]) for a, b in sub.pairs()}
             assert lifted == {(x, y) for x, y in f.pairs() if x in old_of_new}
+            if is_trivial(f):
+                continue
+            # the pipeline's point mask is the reference's range, and no
+            # chain point, seed or result leaves it
+            gw = gamma_witness(f)
+            assert gw.restricted_to == (None if len(old_of_new) == n else tuple(old_of_new))
+            for wc in (gw.reflexive_stage, gw.extension_stage):
+                assert set(wc.chain) | set(wc.seed or ()) | set(wc.result) <= set(old_of_new)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_relabelling_reference(self, n):
+        for f in idempotent_relations(n):
+            if not is_trivial(f):
+                # pair, both chains with their seeds, and restricted_to
+                assert gamma_witness(f) == reference_gamma_witness(f)
 
     def test_traces_replay_in_original_labels(self):
         # stage-1 chain edges run forwards in f, stage-2 chain edges are
@@ -228,6 +278,7 @@ class TestGammaPipeline:
             gw = gamma_witness(f)
             u, v = gw.pair
             assert u != v and f.has(u, u) and f.has(u, v) and f.has(v, v)
+            assert gw == reference_gamma_witness(f)
             if gw.restricted_to is not None:
                 seen_restricted += 1
         assert seen_restricted > 0  # the restriction branch does occur in the wild
