@@ -145,6 +145,8 @@ def _cmd_survey(args) -> int:
             },
             "counterexamples": list(report.counterexamples),
         }
+        if report.counterexample_total:  # absent on a clean census, to keep its stdout
+            doc["counterexample_total"] = report.counterexample_total
         print(json.dumps(doc, indent=2))
     else:
         print(SURVEY_CSV_HEADER)

@@ -9,10 +9,10 @@ row, which is what keeps the exhaustive n=5 scan in the census feasible.
 All values are immutable and all operations are pure functions, so
 relations can be shared freely.
 
-``Relation(...)``, ``Relation.from_pairs`` and the parsers in ``io`` check
-every row.  Rows that are valid by construction skip those checks through
-``Relation._trusted``: the results of ``compose`` and ``inverse`` and the
-leaves of the census backtracker.
+``Relation(...)`` and ``Relation.from_pairs`` check every row.  Rows valid
+by construction skip those checks through ``Relation._trusted``: the results
+of ``compose`` and ``inverse``, the census backtracker's leaves, and the two
+parsers in ``io``, which check every pair or cell before building a row.
 """
 
 from __future__ import annotations
@@ -56,6 +56,8 @@ class Relation:
             raise ValueError(f"expected {self.n} rows, got {len(rows)}")
         limit = 1 << self.n
         for x, row in enumerate(rows):
+            if type(row) is not int:
+                raise ValueError(f"row {x} is a {type(row).__name__}, not an int bitmask")
             if not 0 <= row < limit:
                 raise ValueError(f"row {x} mentions a point outside 0..{self.n - 1}")
 
@@ -90,7 +92,13 @@ class Relation:
 
     def pairs(self) -> list[tuple[int, int]]:
         """All pairs of the relation in lexicographic order."""
-        return [(x, y) for x in range(self.n) for y in iter_bits(self.rows[x])]
+        out = []
+        for x, row in enumerate(self.rows):
+            while row:
+                low = row & -row
+                out.append((x, low.bit_length() - 1))
+                row ^= low
+        return out
 
     def __repr__(self) -> str:
         return f"Relation(n={self.n}, pairs={self.pairs()})"

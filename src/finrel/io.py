@@ -3,7 +3,9 @@
 Two interchangeable forms describe the same relation: a JSON object
 {"n": k, "pairs": [[x, y], ...]} for tooling, and a k-line 0/1 matrix for
 humans (row = source point, column = target point).  Parsing either form
-yields the same packed relation; serialization round-trips.
+yields the same packed relation; serialization round-trips.  Each parser
+checks every pair or cell once and builds its rows itself, so it returns a
+``Relation._trusted``; the JSON writer prints what ``json.dumps`` would.
 """
 
 from __future__ import annotations
@@ -32,57 +34,46 @@ def _parse_json(text: str) -> Relation:
         raise RelationParseError("missing field 'n'")
     if "pairs" not in doc:
         raise RelationParseError("missing field 'pairs'")
-    n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
+    n = doc["n"]  # json.loads builds exact types, and `type(v) is int` rejects true and false
+    if type(n) is not int:
         raise RelationParseError("field 'n': expected an integer")
     if n < 1:
         raise RelationParseError("field 'n': carrier must be nonempty")
     if n > MAX_CARRIER:
         raise RelationParseError(f"field 'n': carrier of size {n} exceeds the limit {MAX_CARRIER}")
     pairs = doc["pairs"]
-    if not isinstance(pairs, list):
+    if type(pairs) is not list:
         raise RelationParseError("field 'pairs': expected a list of [x, y] pairs")
     rows = [0] * n
-    seen = set()
     for i, item in enumerate(pairs):
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in item)
-        ):
+        if (type(item) is not list or len(item) != 2
+                or type(item[0]) is not int or type(item[1]) is not int):
             raise RelationParseError(f"pairs[{i}]: expected a pair [x, y] of integers")
         x, y = item
         if not (0 <= x < n and 0 <= y < n):
-            raise RelationParseError(
-                f"pairs[{i}]: point out of range for carrier of size {n}"
-            )
-        if (x, y) in seen:
+            raise RelationParseError(f"pairs[{i}]: point out of range for carrier of size {n}")
+        if (rows[x] >> y) & 1:  # set only by an earlier equal pair
             raise RelationParseError(f"pairs[{i}]: duplicate pair [{x}, {y}]")
-        seen.add((x, y))
         rows[x] |= 1 << y
-    return Relation(n, tuple(rows))
+    return Relation._trusted(n, tuple(rows))
 
 
 def _parse_matrix(text: str) -> Relation:
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [cells for cells in map(str.strip, text.splitlines()) if cells]
     if not lines:
         raise RelationParseError("empty document: carrier must be nonempty")
     n = len(lines)
     rows = []
-    for x, line in enumerate(lines, start=1):
-        cells = line.strip()
+    for x, cells in enumerate(lines, start=1):
         if len(cells) != n:
             raise RelationParseError(
-                f"line {x}: expected {n} columns to match {n} rows, got {len(cells)}"
-            )
-        row = 0
-        for y, ch in enumerate(cells):
-            if ch == "1":
-                row |= 1 << y
-            elif ch != "0":
-                raise RelationParseError(f"line {x}, column {y + 1}: expected '0' or '1'")
-        rows.append(row)
-    return Relation(n, tuple(rows))
+                f"line {x}: expected {n} columns to match {n} rows, got {len(cells)}")
+        # strip("01") leaves any other character; int() also reads "_" and non-ASCII digits
+        if cells.strip("01"):
+            y = next(y for y, ch in enumerate(cells) if ch not in "01")
+            raise RelationParseError(f"line {x}, column {y + 1}: expected '0' or '1'")
+        rows.append(int(cells[::-1], 2))
+    return Relation._trusted(n, tuple(rows))
 
 
 def parse_relation(text: str) -> Relation:
@@ -95,13 +86,12 @@ def parse_relation(text: str) -> Relation:
 def serialize_relation(f: Relation, form: str = "json") -> str:
     """Render a relation; ``parse_relation`` inverts this exactly."""
     if form == "json":
-        return json.dumps(relation_to_document(f))
+        # the text json.dumps(relation_to_document(f)) gives, without the dict
+        body = ", ".join([f"[{x}, {y}]" for x, y in f.pairs()])
+        return f'{{"n": {f.n}, "pairs": [{body}]}}'
     if form == "matrix":
-        out = []
-        for row in f.rows:
-            out.append("".join("1" if (row >> y) & 1 else "0" for y in range(f.n)))
-            out.append("\n")
-        return "".join(out)
+        cells = f"0{f.n}b"  # bit y of a row is column y, counted from the left
+        return "".join([format(row, cells)[::-1] + "\n" for row in f.rows])
     raise ValueError(f"unknown form {form!r}")
 
 

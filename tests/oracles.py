@@ -14,7 +14,9 @@ Pairs = FrozenSet[tuple[int, int]]
 
 
 def pairs_of(relation) -> Pairs:
-    return frozenset(relation.pairs())
+    """The pairs of a relation, read cell by cell from its rows."""
+    n, rows = relation.n, relation.rows
+    return frozenset((x, y) for x in range(n) for y in range(n) if (rows[x] >> y) & 1)
 
 
 def o_successors(f: Pairs, x: int) -> set[int]:

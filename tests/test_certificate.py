@@ -124,4 +124,6 @@ def test_a_census_that_flags_everything_keeps_a_bounded_sample(monkeypatch, caps
     assert len(report.counterexamples) == census.COUNTEREXAMPLE_CAP
     code, out, _ = run_cli(capsys, "survey", "--n", "4", "--json")
     assert code == 1
-    assert len(json.loads(out)["counterexamples"]) == census.COUNTEREXAMPLE_CAP
+    doc = json.loads(out)
+    assert len(doc["counterexamples"]) == census.COUNTEREXAMPLE_CAP == 100
+    assert doc["counterexample_total"] == idempotent == 1123

@@ -22,9 +22,11 @@ from finrel import (
     is_surjective,
     is_trivial,
     nontriviality_witness,
+    parse_relation,
     properties,
     restrict,
     satisfies_gamma,
+    serialize_relation,
     two_point_witness,
 )
 from finrel.core import _compose_rows, _inverse_rows
@@ -50,6 +52,11 @@ class TestRelationType:
         with pytest.raises(ValueError):
             Relation(2, (1, -1))
 
+    @pytest.mark.parametrize("rows,bad", [((1.5, 2), 0), ((True, 2), 0), ((1, "1"), 1)])
+    def test_rejects_rows_that_are_not_ints(self, rows, bad):
+        with pytest.raises(ValueError, match=f"row {bad} is a {type(rows[bad]).__name__}"):
+            Relation(2, rows)
+
     def test_from_pairs_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Relation.from_pairs(2, [(0, 2)])
@@ -57,6 +64,11 @@ class TestRelationType:
     def test_pairs_round_trip(self, t_relation):
         assert Relation.from_pairs(3, t_relation.pairs()) == t_relation
         assert t_relation.pairs() == [(0, 0), (1, 1), (2, 0), (2, 1)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pairs_are_the_set_cells_in_order(self, n):
+        for f in all_relations(n):
+            assert f.pairs() == sorted(o.pairs_of(f))
 
     def test_membership(self, t_relation):
         assert (2, 0) in t_relation
@@ -314,7 +326,8 @@ class TestTrustedConstruction:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_trusted_sites_build_what_validation_accepts(self, n):
         for f in idempotent_relations(n):
-            for r in (f, inverse(f), compose(f, f)):
+            parsed = [parse_relation(serialize_relation(f, form)) for form in ("json", "matrix")]
+            for r in (f, inverse(f), compose(f, f), *parsed):
                 checked = Relation(r.n, r.rows)
                 assert vars(r) == vars(checked)
                 assert hash(r) == hash(checked)

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles as o
 from finrel import (
     Relation,
+    all_relations,
     gamma_relation,
     identity,
     inverse,
@@ -86,6 +88,44 @@ class TestParse:
         with pytest.raises(RelationParseError, match="line 1, column 2"):
             parse_relation("1x\n01")
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"n": 2, "pairs": [[true, 0]]}', "pairs[0]: expected a pair [x, y] of integers"),
+        ('{"n": 2, "pairs": [[0, false]]}', "pairs[0]: expected a pair [x, y] of integers"),
+        ('{"n": 2, "pairs": [[0, 1.0]]}', "pairs[0]: expected a pair [x, y] of integers"),
+        ('{"n": 2, "pairs": [[0, "1"]]}', "pairs[0]: expected a pair [x, y] of integers"),
+        ('{"n": 2, "pairs": [0, 1]}', "pairs[0]: expected a pair [x, y] of integers"),
+        ('{"n": 2, "pairs": [[0, 0], [0, 1, 2]]}', "pairs[1]: expected a pair [x, y] of integers"),
+        ('{"n": 2, "pairs": [[0, 0], {"x": 1}]}', "pairs[1]: expected a pair [x, y] of integers"),
+        ('{"n": 2, "pairs": [[0, 0], [-1, 1]]}', "pairs[1]: point out of range for carrier of size 2"),
+        ('{"n": 2, "pairs": [[1, 0], [0, 1], [1, 0]]}', "pairs[2]: duplicate pair [1, 0]"),
+        ('{"n": 2, "pairs": [[1, 0], [1, 1], [1, 1], [9, 9]]}', "pairs[2]: duplicate pair [1, 1]"),
+        ("1x0\n010\n001", "line 1, column 2: expected '0' or '1'"),
+        ("1_0\n010\n001", "line 1, column 2: expected '0' or '1'"),
+        ("1 0\n010\n001", "line 1, column 2: expected '0' or '1'"),
+        ("١٠\n01", "line 1, column 1: expected '0' or '1'"),
+        ("10\n0１", "line 2, column 2: expected '0' or '1'"),
+        ("100\n010\n+01", "line 3, column 1: expected '0' or '1'"),
+        ("10\n1", "line 2: expected 2 columns to match 2 rows, got 1"),
+    ])
+    def test_rejection_messages(self, text, message):
+        with pytest.raises(RelationParseError) as info:
+            parse_relation(text)
+        assert type(info.value) is RelationParseError
+        assert str(info.value) == message
+
+    def test_matrix_with_crlf_line_ends(self):
+        assert parse_relation("10\r\n01\r\n") == identity(2)
+        assert parse_relation("  10 \n\n 01\t\n") == identity(2)
+
+
+def reference_json(f):
+    return json.dumps({"n": f.n, "pairs": [list(p) for p in sorted(o.pairs_of(f))]})
+
+
+def reference_matrix(f):
+    return "".join("".join("1" if (row >> y) & 1 else "0" for y in range(f.n)) + "\n"
+                   for row in f.rows)
+
 
 class TestSerialize:
     def test_gamma_matrix(self):
@@ -106,6 +146,29 @@ class TestSerialize:
     def test_round_trip_both_forms(self, f):
         assert parse_relation(serialize_relation(f, "json")) == f
         assert parse_relation(serialize_relation(f, "matrix")) == f
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_both_forms_match_the_references_on_every_relation(self, n):
+        for f in all_relations(n):
+            assert serialize_relation(f, "json") == reference_json(f)
+            assert serialize_relation(f, "matrix") == reference_matrix(f)
+
+    def test_both_forms_match_the_references_on_random_relations(self):
+        rng = Random(29)
+        for _ in range(1000):
+            n = rng.randint(1, 8)
+            f = Relation(n, tuple(rng.randrange(0, 1 << n) for _ in range(n)))
+            assert serialize_relation(f, "json") == reference_json(f)
+            assert serialize_relation(f, "matrix") == reference_matrix(f)
+
+    def test_json_of_a_sparse_relation_on_many_points(self):
+        # the writer's cost follows the pairs, not the n * n cells
+        rng = Random(31)
+        pairs = sorted({(rng.randrange(2000), rng.randrange(2000)) for _ in range(3000)})
+        f = Relation.from_pairs(2000, pairs)
+        text = serialize_relation(f, "json")
+        assert text == json.dumps({"n": 2000, "pairs": [list(p) for p in pairs]})
+        assert parse_relation(text) == f
 
     def test_round_trip_many_random(self):
         rng = Random(11)
