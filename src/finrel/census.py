@@ -39,6 +39,7 @@ from .core import (
     _relabel,
     compose,
     inverse,
+    is_idempotent,
     is_surjective,
     nontriviality_witness,
     satisfies_gamma,
@@ -121,23 +122,15 @@ def random_full_relation(n: int, rng: Random) -> Relation:
 def idempotent_power(f: Relation) -> Relation:
     """The unique idempotent among the compositional powers of f.
 
-    The powers f, f^2, f^3, ... are eventually periodic; on the cycle the
-    power with exponent divisible by the period is idempotent.  Fullness is
-    preserved, so this doubles as a sampler of idempotent full relations.
+    The powers f, f^2, f^3, ... form a finite cyclic semigroup, which holds
+    exactly one idempotent, so the first idempotent power is the answer.
+    Fullness is preserved, so this doubles as a sampler of idempotent full
+    relations.
     """
-    seen: dict[tuple[int, ...], int] = {}
-    powers = [f]
     g = f
-    k = 1
-    while g.rows not in seen:
-        seen[g.rows] = k
+    while not is_idempotent(g):
         g = compose(g, f)
-        powers.append(g)
-        k += 1
-    start = seen[g.rows]
-    period = k - start
-    m = period * ((start + period - 1) // period)
-    return powers[m - 1]
+    return g
 
 
 def random_idempotent(n: int, rng: Random) -> Relation:

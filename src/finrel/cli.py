@@ -15,14 +15,15 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .census import survey
-from .core import PreconditionError, PropertyReport, Relation, compose, inverse, properties, restrict
+from .core import PropertyReport, Relation, compose, inverse, properties, restrict
 from .io import RelationParseError, parse_relation, serialize_relation
 from .mahavier import count_threads, iter_threads, thread_order_profile, threads_naive, threads_propagate
-from .witness import GammaWitness, WitnessChain, gamma_from_seed, gamma_witness, reflexive_pair_witness
+from .witness import gamma_from_seed, gamma_witness, reflexive_pair_witness
 
 SURVEY_CSV_HEADER = (
     "# finrel survey csv v1: "
@@ -55,24 +56,6 @@ def _report_dict(report: PropertyReport) -> dict:
         "gamma": pair(report.gamma_witness),
         "two_point_witness": pair(report.two_point_witness),
         "nontriviality_witness": pair(report.nontriviality_witness),
-    }
-
-
-def _chain_dict(wc: WitnessChain) -> dict:
-    return {
-        "kind": wc.kind,
-        "chain": list(wc.chain),
-        "seed": None if wc.seed is None else list(wc.seed),
-        "result": list(wc.result),
-    }
-
-
-def _pipeline_dict(gw: GammaWitness) -> dict:
-    return {
-        "witness": list(gw.pair),
-        "reflexive_stage": _chain_dict(gw.reflexive_stage),
-        "extension_stage": _chain_dict(gw.extension_stage),
-        "restricted_to": None if gw.restricted_to is None else list(gw.restricted_to),
     }
 
 
@@ -113,13 +96,14 @@ def _cmd_witness(args) -> int:
             raise RelationParseError(f"--seed wants two integers 'x,y'; got {args.seed!r}")
         seed = (sx, sy)
     if args.lemma == "1":
-        out = _chain_dict(reflexive_pair_witness(f))
+        out = asdict(reflexive_pair_witness(f))
     elif args.lemma == "2":
         if seed is None:
             raise RelationParseError("--lemma 2 requires --seed x,y")
-        out = _chain_dict(gamma_from_seed(f, *seed))
+        out = asdict(gamma_from_seed(f, *seed))
     else:
-        out = _pipeline_dict(gamma_witness(f))
+        out = asdict(gamma_witness(f))
+        out = {"witness": out.pop("pair"), **out}
     print(json.dumps(out, indent=2))
     return 0
 
@@ -288,7 +272,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (RelationParseError, PreconditionError, ValueError) as exc:
+    except ValueError as exc:  # RelationParseError and PreconditionError included
         print(f"finrel: error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,6 +26,11 @@ class PreconditionError(ValueError):
     """An operation was applied to a relation outside its stated domain."""
 
 
+def _check_carrier(n: object) -> None:
+    if type(n) is not int:
+        raise ValueError(f"carrier size n is a {type(n).__name__}, not an int")
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in ascending order."""
     while mask:
@@ -48,6 +53,7 @@ class Relation:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_carrier(self.n)
         if self.n < 1:
             raise ValueError("carrier must be nonempty")
         rows = tuple(self.rows)
@@ -72,8 +78,11 @@ class Relation:
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Relation":
+        _check_carrier(n)
         rows = [0] * n
         for x, y in pairs:
+            if type(x) is not int or type(y) is not int:
+                raise ValueError(f"pair ({x!r}, {y!r}) has a coordinate that is not an int")
             if not (0 <= x < n and 0 <= y < n):
                 raise ValueError(f"pair ({x}, {y}) out of range for carrier of size {n}")
             rows[x] |= 1 << y

@@ -15,11 +15,13 @@ chains only visit the points of range(f), a bitmask in f's own labels.  The
 restriction of f to its range is full, idempotent, surjective and still
 nontrivial, and the resulting pattern is a pattern of f itself.
 
-Both chain loops assert the structural facts that justify each step (every
-earlier chain point sees the new one, no back-edges, the seed point stays a
-predecessor).  On a finite carrier a chain of distinct points cannot outrun
-the carrier, so exhaustion of fresh points is a logic error and raises
-immediately rather than looping.
+Both lemmas are one argument, and ``_walk`` states it once: from a start
+point, step to the least fresh successor until a reflexive point appears.
+It asserts the structural facts that idempotence guarantees at each step
+(no edge back to the seed, every earlier chain point sees the new one, no
+back-edges, the seed point stays a predecessor).  On a finite carrier a
+chain of distinct points cannot outrun the carrier, so exhaustion of fresh
+points is a logic error and raises immediately rather than looping.
 """
 
 from __future__ import annotations
@@ -92,11 +94,10 @@ class GammaWitness:
     restricted_to: Optional[tuple[int, ...]] = None
 
 
-def _require(f: Relation, *, full: bool = False, idempotent: bool = False,
-             nontrivial: bool = False, op: str) -> None:
-    if full and not is_full(f):
+def _require(f: Relation, op: str, nontrivial: bool = True) -> None:
+    if not is_full(f):
         raise PreconditionError(f"{op} requires a full relation")
-    if idempotent and not is_idempotent(f):
+    if not is_idempotent(f):
         raise PreconditionError(f"{op} requires an idempotent relation")
     if nontrivial and is_trivial(f):
         raise PreconditionError(f"{op} requires a nontrivial relation")
@@ -112,7 +113,7 @@ def reflexive_pair_witness(f: Relation) -> WitnessChain:
     one and forbids back-edges, so the walk keeps finding fresh points
     until it hits a reflexive one, which happens within n steps.
     """
-    _require(f, full=True, idempotent=True, nontrivial=True, op="reflexive_pair_witness")
+    _require(f, "reflexive_pair_witness")
     return _reflexive_pair(f.rows, (1 << f.n) - 1)
 
 
@@ -135,24 +136,8 @@ def _reflexive_pair(rows: tuple[int, ...], rng: int) -> WitnessChain:
                 return WitnessChain(KIND_REFLEXIVE_PAIR, (), None, (b, a))
         raise AssertionError("nontrivial relation equal to the identity")
 
-    chain = [x0]
-    visited = 1 << x0
-    for _ in range(rng.bit_count()):
-        cur = chain[-1]
-        fresh = rows[cur] & ~visited
-        if not fresh:
-            raise AssertionError("chain exhausted fresh points without a reflexive one")
-        nxt = (fresh & -fresh).bit_length() - 1
-        for c in chain:
-            if not (rows[c] >> nxt) & 1:
-                raise AssertionError(f"chain point {c} does not see successor {nxt}")
-            if (rows[nxt] >> c) & 1:
-                raise AssertionError(f"back-edge ({nxt}, {c}) violates the chain order")
-        chain.append(nxt)
-        visited |= 1 << nxt
-        if (rows[nxt] >> nxt) & 1:
-            return WitnessChain(KIND_REFLEXIVE_PAIR, tuple(chain), None, (nxt, cur))
-    raise AssertionError("chain exceeded the carrier size")
+    chain = _walk(rows, rng, x0, x0)
+    return WitnessChain(KIND_REFLEXIVE_PAIR, tuple(chain), None, (chain[-1], chain[-2]))
 
 
 def gamma_from_seed(f: Relation, x: int, y: int) -> WitnessChain:
@@ -163,7 +148,7 @@ def gamma_from_seed(f: Relation, x: int, y: int) -> WitnessChain:
     earlier chain points, so each step is possible and a reflexive z
     appears within n steps, giving (x,x), (x,z), (z,z) in f.
     """
-    _require(f, full=True, idempotent=True, op="gamma_from_seed")
+    _require(f, "gamma_from_seed", nontrivial=False)
     return _gamma_from_seed(f.rows, (1 << f.n) - 1, x, y)
 
 
@@ -184,31 +169,43 @@ def _gamma_from_seed(rows: tuple[int, ...], rng: int, x: int, y: int) -> Witness
     if not (row_x >> y) & 1:
         raise PreconditionError(f"seed requires ({x}, {y}) in the relation")
 
-    chain = [y]
-    visited = 1 << y
-    if (rows[y] >> y) & 1:
-        return WitnessChain(KIND_GAMMA_FROM_SEED, tuple(chain), (x, y), (x, y))
+    chain = _walk(rows, rng, x, y)
+    return WitnessChain(KIND_GAMMA_FROM_SEED, tuple(chain), (x, y), (x, chain[-1]))
+
+
+def _walk(rows: tuple[int, ...], rng: int, seed: int, start: int) -> list[int]:
+    """The chain from ``start`` along least fresh successors in ``rng`` to a reflexive point.
+
+    ``seed`` must see every chain point, and no chain point before the last
+    may see it back (Lemma 1 takes seed = start).  Every step asserts what idempotence
+    guarantees, so the walk ends on a reflexive point within
+    ``rng.bit_count()`` steps; the chain is ``[start]`` if start is reflexive.
+    """
+    chain = [start]
+    if (rows[start] >> start) & 1:
+        return chain
+    visited = 1 << start
     for _ in range(rng.bit_count()):
         cur = chain[-1]
-        if (rows[cur] >> x) & 1:
+        if (rows[cur] >> seed) & 1:
             raise AssertionError(f"non-final chain point {cur} has an edge back to the seed")
         fresh = rows[cur] & rng & ~visited
         if not fresh:
             raise AssertionError("chain exhausted fresh points without a reflexive one")
         nxt = (fresh & -fresh).bit_length() - 1
-        if not (rows[x] >> nxt) & 1:
-            raise AssertionError(f"seed point {x} lost sight of chain point {nxt}")
         for c in chain:
             if not (rows[c] >> nxt) & 1:
                 raise AssertionError(f"chain point {c} does not see successor {nxt}")
             if (rows[nxt] >> c) & 1:
                 raise AssertionError(f"back-edge ({nxt}, {c}) violates the chain order")
-        if nxt == x:
+        if not (rows[seed] >> nxt) & 1:
+            raise AssertionError(f"seed point {seed} lost sight of chain point {nxt}")
+        if nxt == seed:
             raise AssertionError("chain ran into the seed point")
         chain.append(nxt)
         visited |= 1 << nxt
         if (rows[nxt] >> nxt) & 1:
-            return WitnessChain(KIND_GAMMA_FROM_SEED, tuple(chain), (x, y), (x, nxt))
+            return chain
     raise AssertionError("chain exceeded the carrier size")
 
 
@@ -224,7 +221,7 @@ def gamma_witness(f: Relation) -> GammaWitness:
     idempotent, surjective and still nontrivial.  The returned pair is
     valid for f but not necessarily the lexicographically least gamma pair.
     """
-    _require(f, full=True, idempotent=True, nontrivial=True, op="gamma_witness")
+    _require(f, "gamma_witness")
     return _gamma_pipeline(f, inverse(f))
 
 

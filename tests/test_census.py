@@ -142,6 +142,26 @@ class TestIdempotentPower:
             f = random_idempotent(rng.randint(1, 6), rng)
             assert is_idempotent(f) and is_full(f)
 
+    @staticmethod
+    def assert_the_only_idempotent_power(f):
+        # the powers f, f^2, ... as pair sets, up to the first repeat
+        powers, g = [], o.pairs_of(f)
+        while g not in powers:
+            powers.append(g)
+            g = o.o_compose(g, o.pairs_of(f))
+        idempotents = [p for p in powers if o.o_is_idempotent(p)]
+        assert idempotents == [o.pairs_of(idempotent_power(f))]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_the_power_walk_on_every_full_relation(self, n):
+        for f in full_relations(n):
+            self.assert_the_only_idempotent_power(f)
+
+    def test_matches_the_power_walk_on_random_relations(self):
+        rng = Random(31)
+        for _ in range(300):
+            self.assert_the_only_idempotent_power(random_full_relation(rng.randint(1, 6), rng))
+
 
 class TestFastIdempotenceKernel:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +61,24 @@ class TestRelationType:
     def test_from_pairs_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Relation.from_pairs(2, [(0, 2)])
+
+    @pytest.mark.parametrize("n", [True, 2.0, "2"])
+    def test_rejects_a_carrier_size_that_is_not_an_int(self, n):
+        message = f"^carrier size n is a {type(n).__name__}, not an int$"
+        with pytest.raises(ValueError, match=message):
+            Relation(n, (1,) if n is True else (1, 2))
+        with pytest.raises(ValueError, match=message):
+            Relation.from_pairs(n, [(0, 0)])
+
+    @pytest.mark.parametrize("pair", [(0, 1.0), (True, 0), (0, "1"), (None, 0)])
+    def test_from_pairs_rejects_coordinates_that_are_not_ints(self, pair):
+        message = f"pair ({pair[0]!r}, {pair[1]!r}) has a coordinate that is not an int"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Relation.from_pairs(2, [(0, 0), pair])
+
+    def test_repr(self, t_relation):
+        assert repr(t_relation) == "Relation(n=3, pairs=[(0, 0), (1, 1), (2, 0), (2, 1)])"
+        assert repr(Relation(1, (0,))) == "Relation(n=1, pairs=[])"
 
     def test_pairs_round_trip(self, t_relation):
         assert Relation.from_pairs(3, t_relation.pairs()) == t_relation

@@ -306,6 +306,30 @@ class TestWitnessCommand:
         assert code == 2
         assert "--seed" in err
 
+    def test_pipeline_text_on_a_non_surjective_relation(self, tmp_path, capsys):
+        # key order and layout are part of the output, not only the values
+        p = tmp_path / "ns.json"
+        p.write_text('{"n":3,"pairs":[[0,0],[0,1],[1,1],[2,0],[2,1]]}')
+        code, out, err = run_cli(capsys, "witness", str(p))
+        expected = {
+            "witness": [0, 1],
+            "reflexive_stage": {"kind": "reflexive_pair", "chain": [], "seed": None,
+                                "result": [1, 0]},
+            "extension_stage": {"kind": "gamma_from_seed", "chain": [0], "seed": [1, 0],
+                                "result": [1, 0]},
+            "restricted_to": [0, 1],
+        }
+        assert (code, err) == (0, "")
+        assert out == json.dumps(expected, indent=2) + "\n"
+
+    def test_lemma_texts(self, capsys):
+        _, out, _ = run_cli(capsys, "witness", bundled("gamma"), "--lemma", "1")
+        assert out == json.dumps({"kind": "reflexive_pair", "chain": [], "seed": None,
+                                  "result": [1, 0]}, indent=2) + "\n"
+        _, out, _ = run_cli(capsys, "witness", bundled("gamma"), "--lemma", "2", "--seed", "0,1")
+        assert out == json.dumps({"kind": "gamma_from_seed", "chain": [1], "seed": [0, 1],
+                                  "result": [0, 1]}, indent=2) + "\n"
+
     def test_negative_seed_is_out_of_range(self, capsys):
         code, out, err = run_cli(capsys, "witness", bundled("gamma"),
                                  "--lemma", "2", "--seed=-1,0")
@@ -537,6 +561,22 @@ class TestOpCommand:
         code, _, err = run_cli(capsys, "op", "compose", bundled("gamma"), bundled("t"))
         assert code == 2
         assert "mismatch" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["inverse", bundled("gamma"), bundled("t")], "op inverse needs exactly one relation file"),
+        (["restrict", bundled("gamma"), bundled("t"), "--points", "0"],
+         "op restrict needs exactly one relation file"),
+        (["restrict", bundled("gamma"), "--points", "x,1"],
+         "--points wants comma-separated integers; got 'x,1'"),
+    ], ids=["inverse_two_files", "restrict_two_files", "restrict_bad_points"])
+    def test_usage_errors(self, capsys, argv, message):
+        assert run_cli(capsys, "op", *argv) == (2, "", f"finrel: error: {message}\n")
+
+    def test_pairs_that_are_not_a_list(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text('{"n": 2, "pairs": 5}')
+        assert run_cli(capsys, "op", "inverse", str(p)) == (
+            2, "", "finrel: error: field 'pairs': expected a list of [x, y] pairs\n")
 
 
 class TestRepeatedRuns:

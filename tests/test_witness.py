@@ -1,3 +1,4 @@
+import re
 from random import Random
 
 import pytest
@@ -23,7 +24,9 @@ from finrel.witness import (
     KIND_REFLEXIVE_PAIR,
     GammaWitness,
     WitnessChain,
+    _gamma_from_seed,
     _gamma_pipeline,
+    _reflexive_pair,
 )
 
 
@@ -149,6 +152,14 @@ class TestGammaFromSeed:
         f = Relation.from_pairs(2, [(0, 1), (1, 0), (1, 1)])
         with pytest.raises(PreconditionError):
             gamma_from_seed(f, 0, 1)  # (0, 0) missing
+
+    def test_seed_pairs_must_be_in_the_relation(self):
+        # full and idempotent, so only the seed checks can refuse it
+        f = Relation.from_pairs(2, [(0, 1), (1, 1)])
+        with pytest.raises(PreconditionError, match=r"^seed requires \(0, 0\) in the relation$"):
+            gamma_from_seed(f, 0, 1)
+        with pytest.raises(PreconditionError, match=r"^seed requires \(1, 0\) in the relation$"):
+            gamma_from_seed(f, 1, 0)
 
     def test_requires_full_and_idempotent(self, t_relation, swap):
         with pytest.raises(PreconditionError, match="full"):
@@ -304,3 +315,67 @@ class TestWitnessChainValidate:
         wc = WitnessChain(KIND_REFLEXIVE_PAIR, (0, 1, 2), None, (1, 0))
         with pytest.raises(AssertionError, match="longer"):
             wc.validate(full_square(2))
+
+
+def fails_with(message):
+    """Expect an AssertionError whose message is exactly ``message``."""
+    return pytest.raises(AssertionError, match=f"^{re.escape(message)}$")
+
+
+class TestChainAssertions:
+    """Each structural check of the chain cores fires on rows with one fault."""
+
+    def test_reflexive_pair_on_the_identity(self):
+        with fails_with("nontrivial relation equal to the identity"):
+            _reflexive_pair((0b01, 0b10), 0b11)
+
+    def test_reflexive_pair_exhausted(self):
+        with fails_with("chain exhausted fresh points without a reflexive one"):
+            _reflexive_pair((0b00, 0b10), 0b11)
+
+    def test_reflexive_pair_chain_point_does_not_see(self):
+        with fails_with("chain point 0 does not see successor 2"):
+            _reflexive_pair((0b010, 0b100, 0b100), 0b111)
+
+    def test_reflexive_pair_back_edge(self):
+        with fails_with("back-edge (1, 0) violates the chain order"):
+            _reflexive_pair((0b10, 0b01), 0b11)
+
+    def test_seeded_edge_back_to_the_seed(self):
+        with fails_with("non-final chain point 1 has an edge back to the seed"):
+            _gamma_from_seed((0b011, 0b101, 0b100), 0b111, 0, 1)
+
+    def test_seeded_exhausted(self):
+        with fails_with("chain exhausted fresh points without a reflexive one"):
+            _gamma_from_seed((0b011, 0b000), 0b11, 0, 1)
+
+    def test_seeded_seed_lost_sight(self):
+        with fails_with("seed point 0 lost sight of chain point 2"):
+            _gamma_from_seed((0b011, 0b100, 0b100), 0b111, 0, 1)
+
+    def test_seeded_chain_point_does_not_see(self):
+        with fails_with("chain point 1 does not see successor 3"):
+            _gamma_from_seed((0b1111, 0b0100, 0b1000, 0b1000), 0b1111, 0, 1)
+
+    def test_seeded_back_edge(self):
+        with fails_with("back-edge (2, 1) violates the chain order"):
+            _gamma_from_seed((0b111, 0b100, 0b010), 0b111, 0, 1)
+
+    def test_pipeline_rejects_an_invalid_gamma_pair(self, monkeypatch):
+        def bad_extension(rows, rng, x, y):
+            return WitnessChain(KIND_GAMMA_FROM_SEED, (y,), (x, y), (1, 1))
+
+        monkeypatch.setattr("finrel.witness._gamma_from_seed", bad_extension)
+        f = gamma_relation()
+        with fails_with("pipeline produced an invalid gamma pair (1, 1)"):
+            _gamma_pipeline(f, inverse(f))
+
+    def test_validate_rejects_a_wrong_reflexive_pair(self):
+        wc = WitnessChain(KIND_REFLEXIVE_PAIR, (), None, (0, 1))
+        with fails_with("reflexive-pair result (0, 1) invalid"):
+            wc.validate(identity(2))
+
+    def test_validate_rejects_an_unknown_kind(self):
+        wc = WitnessChain("other", (), None, (0, 1))
+        with fails_with("unknown chain kind 'other'"):
+            wc.validate(identity(2))
