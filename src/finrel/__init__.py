@@ -40,14 +40,11 @@ from .core import (
 )
 from .io import RelationParseError, parse_relation, serialize_relation
 from .mahavier import (
-    OrderProfile,
-    ThreadSet,
     count_threads,
     gamma_relation,
+    is_coordinatewise_chain,
     iter_threads,
-    thread_order_profile,
     threads_naive,
-    threads_propagate,
 )
 from .witness import (
     GammaWitness,
@@ -61,13 +58,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GammaWitness",
-    "OrderProfile",
     "PreconditionError",
     "PropertyReport",
     "Relation",
     "RelationParseError",
     "SurveyReport",
-    "ThreadSet",
     "WitnessChain",
     "all_relations",
     "apply_permutation",
@@ -83,6 +78,7 @@ __all__ = [
     "idempotent_relations",
     "image",
     "inverse",
+    "is_coordinatewise_chain",
     "is_full",
     "is_idempotent",
     "is_single_valued",
@@ -99,8 +95,6 @@ __all__ = [
     "satisfies_gamma",
     "serialize_relation",
     "survey",
-    "thread_order_profile",
     "threads_naive",
-    "threads_propagate",
     "two_point_witness",
 ]

@@ -2,15 +2,17 @@
 
 ``survey`` scans every full relation on n points and, for each idempotent
 one, cross-checks the whole cluster of equivalences: trivial exactly when
-no gamma pattern exists exactly when no two-point pattern exists; the
-constructive pipeline succeeds and validates on every nontrivial one;
-trivial surjective relations are the identity; and squaring commutes with
-inversion.  Any violation is recorded as a counterexample, so an empty
-counterexample list over the full scan is the certificate the census
-exists to produce.  The checks transpose f once and share that inverse
-between the witness pipeline and the law, whose two sides, the square of
-the inverse and the inverse of the square, are both computed in full on
-packed rows: the census does not assume the f o f = f it checks.
+no gamma pattern exists exactly when no two-point pattern exists; on
+every nontrivial one the constructive pipeline runs with its in-chain
+assertions, returns a gamma pattern of f, and both of its chains have at
+most n points; trivial surjective relations are the identity; and
+squaring commutes with inversion.  Any violation is recorded as a
+counterexample, so an empty counterexample list over the full scan is the
+certificate the census exists to produce.  The checks transpose f once
+and share that inverse between the witness pipeline and the law, whose
+two sides, the square of the inverse and the inverse of the square, are
+both computed in full on packed rows: the census does not assume the
+f o f = f it checks.
 
 The n=5 space holds 31**5 = 28,629,151 candidates, too many to visit one
 by one in pure Python.  An idempotent relation is transitive, so a
@@ -49,7 +51,6 @@ from .io import relation_to_document
 from .witness import _gamma_pipeline
 
 ENUM_CAP = 5
-SURVEY_ISO_CAP = 5
 CANONICAL_CAP = 8
 # a broken build flags every relation; keep a sample, count the rest
 COUNTEREXAMPLE_CAP = 100
@@ -273,10 +274,9 @@ def survey(n: int, mode: str = "all") -> SurveyReport:
     """
     if mode not in ("all", "up_to_iso"):
         raise ValueError(f"unknown survey mode {mode!r}")
-    cap = ENUM_CAP if mode == "all" else SURVEY_ISO_CAP
-    if not 1 <= n <= cap:
+    if not 1 <= n <= ENUM_CAP:
         raise ValueError(
-            f"carrier size {n} outside 1..{cap} for mode {mode!r}; "
+            f"carrier size {n} outside 1..{ENUM_CAP} for mode {mode!r}; "
             f"the search space beyond the cap is out of reach"
         )
 

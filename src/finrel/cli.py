@@ -20,9 +20,9 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .census import survey
-from .core import PropertyReport, Relation, compose, inverse, properties, restrict
+from .core import Relation, compose, inverse, properties, restrict
 from .io import RelationParseError, parse_relation, serialize_relation
-from .mahavier import count_threads, iter_threads, thread_order_profile, threads_naive, threads_propagate
+from .mahavier import count_threads, is_coordinatewise_chain, iter_threads, threads_naive
 from .witness import gamma_from_seed, gamma_witness, reflexive_pair_witness
 
 SURVEY_CSV_HEADER = (
@@ -42,23 +42,6 @@ def _load_relation(path: str) -> Relation:
     return parse_relation(text)
 
 
-def _report_dict(report: PropertyReport) -> dict:
-    def pair(p):
-        return None if p is None else list(p)
-
-    return {
-        "n": report.n,
-        "full": report.full,
-        "idempotent": report.idempotent,
-        "surjective": report.surjective,
-        "single_valued": report.single_valued,
-        "trivial": report.trivial,
-        "gamma": pair(report.gamma_witness),
-        "two_point_witness": pair(report.two_point_witness),
-        "nontriviality_witness": pair(report.nontriviality_witness),
-    }
-
-
 def _parse_expect(raw: str) -> tuple[str, bool]:
     name, sep, value = raw.partition("=")
     if not sep or name not in EXPECT_FLAGS or value not in ("true", "false"):
@@ -71,7 +54,8 @@ def _parse_expect(raw: str) -> tuple[str, bool]:
 def _cmd_check(args) -> int:
     f = _load_relation(args.file)
     report = properties(f)
-    doc = _report_dict(report)
+    # the record's fields as declared, with gamma_witness printed as gamma
+    doc = {"gamma" if k == "gamma_witness" else k: v for k, v in asdict(report).items()}
     print(json.dumps(doc, indent=2))
     failures = []
     for raw in args.expect or ():
@@ -146,32 +130,28 @@ def _cmd_mahavier(args) -> int:
     f = _load_relation(args.file)
     if args.transpose:
         f = inverse(f)
-    if args.count_only:
-        if args.naive:
-            print(len(threads_naive(f, args.length)))
-        else:
-            # Decimal prints counts past the interpreter's 4300-digit limit on
-            # str(int); imported here to keep it out of every start-up
-            from decimal import Decimal
+    if args.count_only and not args.naive:
+        # Decimal prints counts past the interpreter's 4300-digit limit on
+        # str(int); imported here to keep it out of every start-up
+        from decimal import Decimal
 
-            print(Decimal(count_threads(f, args.length)))
+        print(Decimal(count_threads(f, args.length)))
         return 0
-    if args.json:
-        ts = threads_naive(f, args.length) if args.naive else threads_propagate(f, args.length)
+    threads = threads_naive(f, args.length) if args.naive else iter_threads(f, args.length)
+    if args.count_only:
+        print(len(threads))
+    elif args.json:
+        threads = tuple(threads)
         doc = {
-            "n": ts.n,
-            "length": ts.m,
-            "count": len(ts),
-            "is_coordinatewise_chain": thread_order_profile(ts).is_coordinatewise_chain,
-            "threads": [list(t) for t in ts.threads],
+            "n": f.n,
+            "length": args.length,
+            "count": len(threads),
+            "is_coordinatewise_chain": is_coordinatewise_chain(threads),
+            "threads": [list(t) for t in threads],
         }
         print(json.dumps(doc, indent=2))
-        return 0
-    if args.naive:
-        for t in threads_naive(f, args.length).threads:
-            print(" ".join(map(str, t)))
     else:
-        for t in iter_threads(f, args.length):
+        for t in threads:
             print(" ".join(map(str, t)))
     return 0
 

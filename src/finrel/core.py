@@ -159,12 +159,22 @@ def inverse(f: Relation) -> Relation:
     return Relation._trusted(f.n, tuple(_inverse_rows(f.rows)))
 
 
+def _point_mask(f: Relation, points: Iterable[int]) -> int:
+    """The bitmask of ``points``, each an int on the carrier of f."""
+    mask = 0
+    for x in points:
+        if type(x) is not int:
+            raise ValueError(f"point {x!r} is a {type(x).__name__}, not an int")
+        if not 0 <= x < f.n:
+            raise ValueError(f"point {x} out of range for carrier of size {f.n}")
+        mask |= 1 << x
+    return mask
+
+
 def image(f: Relation, points: Iterable[int]) -> frozenset[int]:
     """f[A]: everything reachable in one step from a point of A."""
     acc = 0
-    for x in points:
-        if not 0 <= x < f.n:
-            raise ValueError(f"point {x} out of range for carrier of size {f.n}")
+    for x in iter_bits(_point_mask(f, points)):
         acc |= f.rows[x]
     return frozenset(iter_bits(acc))
 
@@ -174,11 +184,7 @@ def restrict(f: Relation, points: Iterable[int]) -> Relation:
 
     The carrier is unchanged; rows outside the set become empty.
     """
-    keep = 0
-    for x in points:
-        if not 0 <= x < f.n:
-            raise ValueError(f"point {x} out of range for carrier of size {f.n}")
-        keep |= 1 << x
+    keep = _point_mask(f, points)
     return Relation(f.n, tuple(row if (keep >> x) & 1 else 0 for x, row in enumerate(f.rows)))
 
 
@@ -195,7 +201,7 @@ def _relabel(rows: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
 
 def apply_permutation(f: Relation, perm: Sequence[int]) -> Relation:
     """Relabel every point x as perm[x]."""
-    if sorted(perm) != list(range(f.n)):
+    if _point_mask(f, perm) != (1 << f.n) - 1 or len(perm) != f.n:
         raise ValueError("perm is not a bijection on the carrier")
     return Relation(f.n, _relabel(f.rows, perm))
 

@@ -6,44 +6,27 @@ every l < l' (all pairs), or for l' = l + 1 only (adjacent; the same for
 transitive f, so for every idempotent f).  The threads are the finite
 analogue of the inverse limit of f over the chain 0 < 1 < ... < m-1.
 
-``threads_naive`` filters all n**m tuples (the reference, capped).  The
-engine sums up a prefix by one state, the mask of points allowed as its
-next coordinate.  It starts from all points, and placing v leaves the
-allowed points that map onto v (all pairs) or all points that map onto v
-(adjacent).  The threads of the canonical gamma relation on two points are
-the indicator tuples of down-sets of the chain: m+1 of them, totally
-ordered coordinatewise.
+A thread set is a plain tuple of threads in lexicographic order.
+``threads_naive`` filters all n**m tuples (the reference, capped);
+``iter_threads`` streams the same threads and ``count_threads`` counts them
+without building any.  The engine sums up a prefix by one state, the mask
+of points allowed as its next coordinate.  It starts from all points, and
+placing v leaves the allowed points that map onto v (all pairs) or all
+points that map onto v (adjacent).  The threads of the canonical gamma
+relation on two points are the indicator tuples of down-sets of the chain:
+m+1 of them, totally ordered coordinatewise (``is_coordinatewise_chain``).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import Relation, inverse, iter_bits
 
 NAIVE_TUPLE_CAP = 1 << 20
 
 Thread = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ThreadSet:
-    """All threads of one relation over a chain of length m, sorted lex."""
-
-    m: int
-    n: int
-    threads: tuple[Thread, ...]
-
-    def __len__(self) -> int:
-        return len(self.threads)
-
-
-@dataclass(frozen=True)
-class OrderProfile:
-    is_coordinatewise_chain: bool
-    count: int
 
 
 def gamma_relation() -> Relation:
@@ -69,17 +52,16 @@ def _check_length(m: int) -> None:
         raise ValueError(f"chain length {m} exceeds the cap {NAIVE_TUPLE_CAP}")
 
 
-def threads_naive(f: Relation, m: int, adjacent_only: bool = False) -> ThreadSet:
-    """Filter all n**m coordinate tuples by the thread condition."""
+def threads_naive(f: Relation, m: int, adjacent_only: bool = False) -> tuple[Thread, ...]:
+    """Filter all n**m coordinate tuples by the thread condition, in lex order."""
     _check_length(m)
     # with b the cap's bit length, n**m exceeds the cap iff n**min(m, b) does
     if f.n ** min(m, NAIVE_TUPLE_CAP.bit_length()) > NAIVE_TUPLE_CAP:
         raise ValueError(f"{f.n}**{m} tuples exceed the brute-force cap {NAIVE_TUPLE_CAP}")
-    threads = tuple(
+    return tuple(
         tup for tup in itertools.product(range(f.n), repeat=m)
         if _thread_ok(f, tup, adjacent_only)
     )
-    return ThreadSet(m=m, n=f.n, threads=threads)
 
 
 def _moves(f: Relation, m: int, adjacent_only: bool) -> dict[int, list[tuple[int, int]]]:
@@ -147,19 +129,11 @@ def count_threads(f: Relation, m: int, adjacent_only: bool = False) -> int:
     return sum(counts.values())
 
 
-def threads_propagate(f: Relation, m: int, adjacent_only: bool = False) -> ThreadSet:
-    """Same thread set as ``threads_naive``, streamed by ``iter_threads``."""
-    return ThreadSet(m=m, n=f.n, threads=tuple(iter_threads(f, m, adjacent_only)))
-
-
-def thread_order_profile(ts: ThreadSet) -> OrderProfile:
-    """Whether the thread set is totally ordered coordinatewise, and its size.
+def is_coordinatewise_chain(threads: Iterable[Thread]) -> bool:
+    """Whether the threads are totally ordered coordinatewise.
 
     Coordinatewise order refines lexicographic order, so the set is a chain
     exactly when every lex-consecutive pair is comparable.
     """
-    threads = sorted(ts.threads)
-    for a, b in zip(threads, threads[1:]):
-        if not all(ai <= bi for ai, bi in zip(a, b)):
-            return OrderProfile(is_coordinatewise_chain=False, count=len(threads))
-    return OrderProfile(is_coordinatewise_chain=True, count=len(threads))
+    ordered = sorted(threads)
+    return all(all(ai <= bi for ai, bi in zip(a, b)) for a, b in zip(ordered, ordered[1:]))

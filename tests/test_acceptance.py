@@ -22,17 +22,17 @@ from finrel import (
     idempotent_relations,
     identity,
     inverse,
+    is_coordinatewise_chain,
     is_full,
     is_idempotent,
     is_single_valued,
     is_surjective,
     is_trivial,
+    iter_threads,
     random_idempotent,
     satisfies_gamma,
     survey,
-    thread_order_profile,
     threads_naive,
-    threads_propagate,
     two_point_witness,
 )
 from test_io_cli import bundled, run_cli
@@ -153,16 +153,15 @@ def test_criterion_5_bundled_documents(capsys):
 def test_criterion_6_inverse_limit_finite_shadow():
     g = gamma_relation()
     for m in range(1, 17):
-        ts = threads_propagate(g, m)
-        profile = thread_order_profile(ts)
-        assert profile.count == m + 1
-        assert profile.is_coordinatewise_chain
+        ts = tuple(iter_threads(g, m))
+        assert len(ts) == m + 1
+        assert is_coordinatewise_chain(ts)
 
     compared = 0
     for n in (1, 2, 3):
         for f in full_relations(n):
             for m in range(1, 7):
-                assert threads_propagate(f, m) == threads_naive(f, m)
+                assert tuple(iter_threads(f, m)) == threads_naive(f, m)
                 compared += 1
     print(f"PASS criterion 6: gamma thread count is m+1 and a chain for "
           f"m <= 16; propagation matches brute force on {compared} "

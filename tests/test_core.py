@@ -194,6 +194,11 @@ class TestImage:
         with pytest.raises(ValueError, match="out of range"):
             image(t_relation, {3})
 
+    @pytest.mark.parametrize("point", [1.0, True, "1"])
+    def test_rejects_a_point_that_is_not_an_int(self, point):
+        with pytest.raises(ValueError, match="not an int"):
+            image(gamma_relation(), [point])
+
 
 class TestRestrict:
     def test_t_to_its_range_is_identity_there(self, t_relation):
@@ -208,6 +213,11 @@ class TestRestrict:
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             restrict(gamma_relation(), {2})
+
+    @pytest.mark.parametrize("point", [1.0, True, "1"])
+    def test_rejects_a_point_that_is_not_an_int(self, point):
+        with pytest.raises(ValueError, match="not an int"):
+            restrict(gamma_relation(), [point])
 
 
 class TestPredicates:
@@ -270,6 +280,21 @@ class TestApplyPermutation:
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError, match="bijection"):
             apply_permutation(gamma_relation(), [0, 0])
+
+    @pytest.mark.parametrize("perm", [[0], [0, 1, 1], [1, 0, 0]])
+    def test_rejects_the_wrong_length(self, perm):
+        with pytest.raises(ValueError, match="bijection"):
+            apply_permutation(gamma_relation(), perm)
+
+    def test_rejects_an_entry_off_the_carrier(self):
+        with pytest.raises(ValueError, match="out of range"):
+            apply_permutation(gamma_relation(), [0, 2])
+
+    # [True, False] sorts to [0, 1], so only a type test tells it from a perm
+    @pytest.mark.parametrize("perm", [[1.0, 0.0], [True, False], [1, False], ["1", 0]])
+    def test_rejects_an_entry_that_is_not_an_int(self, perm):
+        with pytest.raises(ValueError, match="not an int"):
+            apply_permutation(gamma_relation(), perm)
 
     @given(relation_with_permutation())
     def test_profile_invariant(self, fp):

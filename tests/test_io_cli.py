@@ -185,6 +185,59 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def small_documents(tmp_path):
+    """(path, n, pair set) of both bundled documents and every relation with n <= 2."""
+    paths = [bundled("t"), bundled("gamma")]
+    for n in (1, 2):
+        for i, f in enumerate(all_relations(n)):
+            path = tmp_path / f"r{n}-{i}.json"
+            path.write_text(reference_json(f))
+            paths.append(str(path))
+    for path in paths:
+        doc = json.loads(Path(path).read_text())
+        yield path, doc["n"], frozenset(map(tuple, doc["pairs"]))
+
+
+def reference_check(n, f):
+    """The stdout of ``check`` for pair set f, from the oracle."""
+    full = o.o_is_full(n, f)
+    nontrivial = next((
+        [x, a] for x in range(n) for a in sorted(o.o_successors(f, x))
+        if o.o_successors(f, a) != {a}
+    ), None) if full else None
+
+    def listed(pair):
+        return None if pair is None else list(pair)
+
+    return json.dumps({
+        "n": n,
+        "full": full,
+        "idempotent": o.o_is_idempotent(f),
+        "surjective": o.o_is_surjective(n, f),
+        "single_valued": o.o_is_single_valued(n, f),
+        "trivial": o.o_is_trivial_literal(n, f) if full else None,
+        "gamma": listed(o.o_gamma(n, f)),
+        "two_point_witness": listed(o.o_two_point(n, f)),
+        "nontriviality_witness": nontrivial,
+    }, indent=2) + "\n"
+
+
+def reference_threads_json(n, f, m):
+    """The stdout of ``mahavier --json`` for pair set f, from the oracle."""
+    threads = sorted(o.o_threads(n, f, m))
+    chain = all(
+        all(x <= y for x, y in zip(a, b)) or all(x >= y for x, y in zip(a, b))
+        for a in threads for b in threads
+    )
+    return json.dumps({
+        "n": n,
+        "length": m,
+        "count": len(threads),
+        "is_coordinatewise_chain": chain,
+        "threads": [list(t) for t in threads],
+    }, indent=2) + "\n"
+
+
 class TestCheckCommand:
     def test_bundled_t(self, capsys):
         code, out, _ = run_cli(capsys, "check", bundled("t"))
@@ -246,6 +299,10 @@ class TestCheckCommand:
         assert code == 2
         assert out == ""
         assert "malformed JSON" in err
+
+    def test_stdout_byte_for_byte(self, tmp_path, capsys):
+        for path, n, f in small_documents(tmp_path):
+            assert run_cli(capsys, "check", path) == (0, reference_check(n, f), ""), path
 
     def test_matrix_and_json_give_same_report(self, tmp_path, capsys):
         f = gamma_relation()
@@ -483,6 +540,17 @@ class TestMahavierCommand:
         assert doc["count"] == 4
         assert doc["is_coordinatewise_chain"] is True
         assert doc["threads"][0] == [0, 0, 0]
+
+    def test_json_byte_for_byte(self, tmp_path, capsys):
+        for path, n, f in small_documents(tmp_path):
+            for m in (1, 2, 3):
+                expected = (0, reference_threads_json(n, f, m), "")
+                for flags in ([], ["--naive"]):
+                    got = run_cli(capsys, "mahavier", path, "--length", str(m), "--json", *flags)
+                    assert got == expected, (path, m, flags)
+                transposed = (0, reference_threads_json(n, o.o_inverse(f), m), "")
+                got = run_cli(capsys, "mahavier", path, "--length", str(m), "--json", "--transpose")
+                assert got == transposed, (path, m)
 
     def test_bad_length(self, capsys):
         code, _, err = run_cli(capsys, "mahavier", bundled("gamma"), "--length", "0")

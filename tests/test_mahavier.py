@@ -12,15 +12,14 @@ from finrel import (
     gamma_relation,
     identity,
     inverse,
+    is_coordinatewise_chain,
     is_idempotent,
     is_full,
     is_surjective,
     is_trivial,
     iter_threads,
     satisfies_gamma,
-    thread_order_profile,
     threads_naive,
-    threads_propagate,
 )
 from finrel import mahavier
 
@@ -48,7 +47,7 @@ class TestThreadsNaive:
     @pytest.mark.parametrize("n,m", [(2, 3), (3, 4), (3, 1)])
     def test_identity_gives_constant_tuples(self, n, m):
         ts = threads_naive(identity(n), m)
-        assert ts.threads == tuple(tuple([x] * m) for x in range(n))
+        assert ts == tuple(tuple([x] * m) for x in range(n))
 
     @pytest.mark.parametrize("n,m", [(2, 2), (2, 4), (3, 3)])
     def test_full_square_gives_everything(self, n, m):
@@ -56,11 +55,11 @@ class TestThreadsNaive:
 
     def test_gamma_three_steps(self):
         ts = threads_naive(gamma_relation(), 3)
-        assert ts.threads == ((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1))
+        assert ts == ((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1))
 
     def test_t_two_steps(self, t_relation):
         ts = threads_naive(t_relation, 2)
-        assert ts.threads == ((0, 0), (0, 2), (1, 1), (1, 2))
+        assert ts == ((0, 0), (0, 2), (1, 1), (1, 2))
 
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError, match="positive"):
@@ -94,40 +93,40 @@ class TestThreadsNaive:
     def test_longest_chain_on_one_point(self):
         # one pass per tuple: checking all pairs of 2**20 coordinates would not finish
         ts = threads_naive(identity(1), mahavier.NAIVE_TUPLE_CAP)
-        assert len(ts) == 1 and ts.threads[0] == (0,) * mahavier.NAIVE_TUPLE_CAP
+        assert len(ts) == 1 and ts[0] == (0,) * mahavier.NAIVE_TUPLE_CAP
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_oracle(self, n):
         for f in all_relations(n):
             pairs = set(f.pairs())
             for m in (1, 2, 3):
-                assert threads_naive(f, m).threads == tuple(sorted(o.o_threads(n, pairs, m)))
+                assert threads_naive(f, m) == tuple(sorted(o.o_threads(n, pairs, m)))
 
 
 class TestThreadsPropagate:
     def test_gamma_count_law(self):
         for m in range(1, 17):
-            ts = threads_propagate(gamma_relation(), m)
+            ts = tuple(iter_threads(gamma_relation(), m))
             assert len(ts) == m + 1
 
     def test_gamma_ten_steps_against_naive(self):
-        assert threads_propagate(gamma_relation(), 10) == threads_naive(gamma_relation(), 10)
+        assert tuple(iter_threads(gamma_relation(), 10)) == threads_naive(gamma_relation(), 10)
 
     def test_identity_long_chain_without_blowup(self):
-        ts = threads_propagate(identity(3), 50)
-        assert ts.threads == (tuple([0] * 50), tuple([1] * 50), tuple([2] * 50))
+        ts = tuple(iter_threads(identity(3), 50))
+        assert ts == (tuple([0] * 50), tuple([1] * 50), tuple([2] * 50))
 
     def test_t_two_steps(self, t_relation):
-        assert threads_propagate(t_relation, 2).threads == ((0, 0), (0, 2), (1, 1), (1, 2))
+        assert tuple(iter_threads(t_relation, 2)) == ((0, 0), (0, 2), (1, 1), (1, 2))
 
     def test_lexicographic_emission(self):
         got = list(iter_threads(full_square(2), 3))
         assert got == sorted(got)
 
     def test_gamma_thousand_steps(self):
-        ts = threads_propagate(gamma_relation(), 1000)
+        ts = tuple(iter_threads(gamma_relation(), 1000))
         assert len(ts) == 1001
-        assert ts.threads[0] == (0,) * 1000 and ts.threads[-1] == (1,) * 1000
+        assert ts[0] == (0,) * 1000 and ts[-1] == (1,) * 1000
 
     def test_walk_skips_dead_prefixes(self):
         # 40 layers of two points, each mapping onto both points of the layer
@@ -144,7 +143,7 @@ class TestThreadsPropagate:
             for m in (1, 2, 3, 4):
                 for adjacent in (False, True):
                     naive = threads_naive(f, m, adjacent)
-                    assert threads_propagate(f, m, adjacent) == naive
+                    assert tuple(iter_threads(f, m, adjacent)) == naive
                     assert count_threads(f, m, adjacent) == len(naive)
 
     def test_matches_naive_random_four_points(self):
@@ -156,19 +155,19 @@ class TestThreadsPropagate:
         for _ in range(60):
             f = random_full_relation(4, rng)
             for m in (1, 2, 3, 4, 5):
-                assert threads_propagate(f, m) == threads_naive(f, m)
+                assert tuple(iter_threads(f, m)) == threads_naive(f, m)
 
     def test_matches_oracle(self, t_relation):
         for f in [gamma_relation(), t_relation, full_square(3), inverse(t_relation)]:
             for m in (1, 2, 3, 5):
-                got = set(threads_propagate(f, m).threads)
+                got = set(iter_threads(f, m))
                 assert got == o.o_threads(f.n, o.pairs_of(f), m)
 
     def test_non_full_relation_with_empty_row(self, t_relation):
         # row 2 of inverse(t) is empty, so no thread may place 2 last
         inv = inverse(t_relation)
-        ts = threads_propagate(inv, 2)
-        assert ts.threads == ((0, 0), (1, 1), (2, 0), (2, 1))
+        ts = tuple(iter_threads(inv, 2))
+        assert ts == ((0, 0), (1, 1), (2, 0), (2, 1))
         assert ts == threads_naive(inv, 2)
 
 
@@ -214,21 +213,21 @@ class TestAdjacentVersusAllPairs:
         for f in transitive:
             for m in (1, 2, 3, 5):
                 assert (
-                    threads_propagate(f, m, adjacent_only=True)
-                    == threads_propagate(f, m)
+                    tuple(iter_threads(f, m, adjacent_only=True))
+                    == tuple(iter_threads(f, m))
                 )
 
     def test_diverge_for_swap(self, swap):
         # alternating tuples satisfy the adjacent condition but not the
         # all-pairs one
-        adjacent = threads_propagate(swap, 3, adjacent_only=True)
-        allpairs = threads_propagate(swap, 3)
-        assert adjacent.threads == ((0, 1, 0), (1, 0, 1))
-        assert allpairs.threads == ()
+        adjacent = tuple(iter_threads(swap, 3, adjacent_only=True))
+        allpairs = tuple(iter_threads(swap, 3))
+        assert adjacent == ((0, 1, 0), (1, 0, 1))
+        assert allpairs == ()
 
     def test_naive_supports_both(self, swap):
-        assert threads_naive(swap, 3, adjacent_only=True).threads == ((0, 1, 0), (1, 0, 1))
-        assert threads_naive(swap, 3).threads == ()
+        assert threads_naive(swap, 3, adjacent_only=True) == ((0, 1, 0), (1, 0, 1))
+        assert threads_naive(swap, 3) == ()
 
 
 class TestProjection:
@@ -236,16 +235,15 @@ class TestProjection:
     def test_dropping_last_coordinate_lands_in_shorter_threads(self, n):
         for f in full_relations(n):
             for m in (2, 3, 4, 5):
-                longer = threads_propagate(f, m)
-                shorter = set(threads_propagate(f, m - 1).threads)
-                assert {t[:-1] for t in longer.threads} <= shorter
+                shorter = set(iter_threads(f, m - 1))
+                assert {t[:-1] for t in iter_threads(f, m)} <= shorter
 
     def test_projection_not_onto_even_when_idempotent(self, t_relation):
         # (0, 2) is a thread of length 2 but nothing maps onto 2, so it
         # never extends: the projection is a proper subset here
         assert is_idempotent(t_relation)
-        projected = {t[:-1] for t in threads_propagate(t_relation, 3).threads}
-        shorter = set(threads_propagate(t_relation, 2).threads)
+        projected = {t[:-1] for t in iter_threads(t_relation, 3)}
+        shorter = set(iter_threads(t_relation, 2))
         assert (0, 2) in shorter
         assert (0, 2) not in projected
         assert projected < shorter
@@ -253,31 +251,38 @@ class TestProjection:
 
 class TestOrderProfile:
     def test_gamma_is_a_chain(self):
-        prof = thread_order_profile(threads_propagate(gamma_relation(), 3))
-        assert prof.is_coordinatewise_chain is True
-        assert prof.count == 4
+        ts = tuple(iter_threads(gamma_relation(), 3))
+        assert is_coordinatewise_chain(ts) is True
+        assert len(ts) == 4
 
     def test_identity_constants_are_a_chain(self):
-        prof = thread_order_profile(threads_propagate(identity(2), 2))
-        assert prof.is_coordinatewise_chain is True
-        assert prof.count == 2
+        ts = tuple(iter_threads(identity(2), 2))
+        assert is_coordinatewise_chain(ts) is True
+        assert len(ts) == 2
 
     def test_full_square_is_not(self):
-        prof = thread_order_profile(threads_propagate(full_square(2), 2))
-        assert prof.is_coordinatewise_chain is False
-        assert prof.count == 4
+        ts = tuple(iter_threads(full_square(2), 2))
+        assert is_coordinatewise_chain(ts) is False
+        assert len(ts) == 4
 
     def test_gamma_chain_for_all_lengths(self):
         for m in range(1, 17):
-            prof = thread_order_profile(threads_propagate(gamma_relation(), m))
-            assert prof.is_coordinatewise_chain and prof.count == m + 1
+            ts = tuple(iter_threads(gamma_relation(), m))
+            assert is_coordinatewise_chain(ts) and len(ts) == m + 1
 
     def test_agrees_with_all_pairs_comparison(self):
         for f in [gamma_relation(), full_square(2), identity(3)]:
-            ts = threads_propagate(f, 3)
+            ts = tuple(iter_threads(f, 3))
             naive_chain = all(
                 all(x <= y for x, y in zip(a, b)) or all(x >= y for x, y in zip(a, b))
-                for a in ts.threads
-                for b in ts.threads
+                for a in ts
+                for b in ts
             )
-            assert thread_order_profile(ts).is_coordinatewise_chain == naive_chain
+            assert is_coordinatewise_chain(ts) == naive_chain
+
+    def test_takes_threads_in_any_order(self):
+        gamma = threads_naive(gamma_relation(), 4)
+        assert is_coordinatewise_chain(reversed(gamma)) is True
+        assert is_coordinatewise_chain(iter_threads(gamma_relation(), 4)) is True
+        assert is_coordinatewise_chain(reversed(threads_naive(full_square(2), 2))) is False
+        assert is_coordinatewise_chain(()) is True
