@@ -91,10 +91,6 @@ class Relation:
     def has(self, x: int, y: int) -> bool:
         return (self.rows[x] >> y) & 1 == 1
 
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        x, y = pair
-        return 0 <= x < self.n and 0 <= y < self.n and self.has(x, y)
-
     def successors(self, x: int) -> tuple[int, ...]:
         """The sorted successor set f(x)."""
         return tuple(iter_bits(self.rows[x]))

@@ -27,12 +27,12 @@ points is a logic error and raises immediately rather than looping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import (
     PreconditionError,
     Relation,
-    inverse,
+    _inverse_rows,
     iter_bits,
     is_full,
     is_idempotent,
@@ -58,25 +58,6 @@ class WitnessChain:
     chain: tuple[int, ...]
     seed: Optional[tuple[int, int]]
     result: tuple[int, int]
-
-    def validate(self, f: Relation) -> None:
-        """Re-check the chain invariants against the relation it ran on."""
-        if len(set(self.chain)) != len(self.chain):
-            raise AssertionError("chain entries are not pairwise distinct")
-        if len(self.chain) > f.n:
-            raise AssertionError("chain longer than the carrier")
-        for a, b in zip(self.chain, self.chain[1:]):
-            if not f.has(a, b):
-                raise AssertionError(f"consecutive chain pair ({a}, {b}) not in relation")
-        x, y = self.result
-        if self.kind == KIND_REFLEXIVE_PAIR:
-            if x == y or not (f.has(x, x) and f.has(y, x)):
-                raise AssertionError(f"reflexive-pair result ({x}, {y}) invalid")
-        elif self.kind == KIND_GAMMA_FROM_SEED:
-            if x == y or not (f.has(x, x) and f.has(x, y) and f.has(y, y)):
-                raise AssertionError(f"gamma result ({x}, {y}) invalid")
-        else:
-            raise AssertionError(f"unknown chain kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -152,7 +133,7 @@ def gamma_from_seed(f: Relation, x: int, y: int) -> WitnessChain:
     return _gamma_from_seed(f.rows, (1 << f.n) - 1, x, y)
 
 
-def _gamma_from_seed(rows: tuple[int, ...], rng: int, x: int, y: int) -> WitnessChain:
+def _gamma_from_seed(rows: Sequence[int], rng: int, x: int, y: int) -> WitnessChain:
     """``gamma_from_seed`` on the relation whose rows are ``rows`` ANDed with ``rng``.
 
     That relation must be full and idempotent on the points of ``rng``; the
@@ -173,7 +154,7 @@ def _gamma_from_seed(rows: tuple[int, ...], rng: int, x: int, y: int) -> Witness
     return WitnessChain(KIND_GAMMA_FROM_SEED, tuple(chain), (x, y), (x, chain[-1]))
 
 
-def _walk(rows: tuple[int, ...], rng: int, seed: int, start: int) -> list[int]:
+def _walk(rows: Sequence[int], rng: int, seed: int, start: int) -> list[int]:
     """The chain from ``start`` along least fresh successors in ``rng`` to a reflexive point.
 
     ``seed`` must see every chain point, and no chain point before the last
@@ -222,24 +203,26 @@ def gamma_witness(f: Relation) -> GammaWitness:
     valid for f but not necessarily the lexicographically least gamma pair.
     """
     _require(f, "gamma_witness")
-    return _gamma_pipeline(f, inverse(f))
+    return _gamma_pipeline(f, _inverse_rows(f.rows))
 
 
-def _gamma_pipeline(f: Relation, inv: Relation) -> GammaWitness:
-    """``gamma_witness`` on an f whose preconditions hold, given inv = inverse(f).
+def _gamma_pipeline(f: Relation, inv: Sequence[int]) -> GammaWitness:
+    """``gamma_witness`` on an f whose preconditions hold, given its transposed rows.
 
-    Both chains only visit ``rng``, the range of f as a bitmask.  Every row
-    of f lies in it, so f cut to ``rng`` is full, idempotent and surjective
-    there, and it stays nontrivial: a nontriviality witness (x, a) lifts to
-    (c, a) for some c in f(x), and c lies in the range.  The rows of inv
-    ANDed with ``rng`` are the transpose of that cut, in f's labels.
+    ``inv`` holds the packed rows of inverse(f), as ``_inverse_rows(f.rows)``
+    returns them.  Both chains only visit ``rng``, the range of f as a
+    bitmask.  Every row of f lies in it, so f cut to ``rng`` is full,
+    idempotent and surjective there, and it stays nontrivial: a
+    nontriviality witness (x, a) lifts to (c, a) for some c in f(x), and c
+    lies in the range.  The rows of inv ANDed with ``rng`` are the
+    transpose of that cut, in f's labels.
     """
     rng = 0
     for row in f.rows:
         rng |= row
     stage1 = _reflexive_pair(f.rows, rng)
     x, y = stage1.result
-    stage2 = _gamma_from_seed(inv.rows, rng, x, y)
+    stage2 = _gamma_from_seed(inv, rng, x, y)
     a, z = stage2.result  # (a,a),(a,z),(z,z) in inv, hence (z,z),(z,a),(a,a) in f
 
     if z == a or not (f.has(z, z) and f.has(z, a) and f.has(a, a)):

@@ -8,7 +8,8 @@ path it is used to check.
 from __future__ import annotations
 
 import itertools
-from typing import FrozenSet, Iterator, Optional
+import math
+from typing import FrozenSet, Iterator, Optional, Sequence
 
 Pairs = FrozenSet[tuple[int, int]]
 
@@ -110,3 +111,93 @@ def o_threads(n: int, f: Pairs, m: int) -> set[tuple[int, ...]]:
         ):
             out.add(tup)
     return out
+
+
+# the pairs a chain's result (x, y) puts in the relation the chain ran on
+CHAIN_RESULTS = {
+    "reflexive_pair": lambda x, y: {(x, x), (y, x)},
+    "gamma_from_seed": lambda x, y: {(x, x), (x, y), (y, y)},
+}
+
+
+def o_chain_faults(n: int, f: Pairs, kind: str, chain: Sequence[int],
+                   result: tuple[int, int]) -> list[str]:
+    """Everything wrong with a chain trace on f, in words; empty when it holds.
+
+    A trace is sound when its points are distinct, at most n of them, each
+    consecutive pair lies in f, and its result (x, y) has x != y and the
+    pattern of its kind: (x,x), (y,x) for a reflexive pair, and (x,x),
+    (x,y), (y,y) for a gamma extension.
+    """
+    faults = []
+    if len(set(chain)) != len(chain):
+        faults.append("chain points repeat")
+    if len(chain) > n:
+        faults.append("chain longer than the carrier")
+    for a, b in zip(chain, chain[1:]):
+        if (a, b) not in f:
+            faults.append(f"consecutive chain pair ({a}, {b}) not in the relation")
+    x, y = result
+    if x == y or not CHAIN_RESULTS[kind](x, y) <= f:
+        faults.append(f"{kind} result ({x}, {y}) invalid")
+    return faults
+
+
+def o_preorders(k: int) -> Iterator[Pairs]:
+    """Every preorder on k points: each reflexive pair set closed under composition."""
+    diagonal = o_identity(k)
+    off = [(x, y) for x in range(k) for y in range(k) if x != y]
+    for keep in itertools.product((False, True), repeat=len(off)):
+        le = diagonal | {p for p, kept in zip(off, keep) if kept}
+        if o_compose(le, le) <= le:
+            yield le
+
+
+def o_attachments(k: int, le: Pairs) -> int:
+    """c(le): the pairs (A, B) of a nonempty up-set A and a down-set B of le
+    on k points, disjoint, with every point of B below every point of A."""
+    sets = [frozenset(), *_nonempty_subsets(k)]
+    ups = [a for a in sets if a and all(q in a for p, q in le if p in a)]
+    downs = [b for b in sets if all(p in b for p, q in le if q in b)]
+    return sum(1 for a in ups for b in downs
+               if not a & b and all((p, q) in le for p in b for q in a))
+
+
+def o_idempotent_count(n: int) -> int:
+    """I(n), the idempotent full relations on n points, by their structure.
+
+    Such a relation f is its reflexive points P (k of them), the preorder
+    f cut to P, and for each of the n - k other points x an independent
+    choice of A(x) = f(x) cut to P and B(x) = the points of P that reach x:
+    see ``o_decompose``.
+    """
+    return sum(math.comb(n, k) * o_attachments(k, le) ** (n - k)
+               for k in range(n + 1) for le in o_preorders(k))
+
+
+def o_trivial_count(n: int) -> int:
+    """T(n), the trivial ones: f is trivial exactly when its preorder is
+    discrete, and there every nonempty A pairs only with the empty B."""
+    return sum(math.comb(n, k) * (2 ** k - 1) ** (n - k) for k in range(n + 1))
+
+
+def o_decompose(n: int, f: Pairs):
+    """(P, le, A, B) of an idempotent full relation f on n points.
+
+    P is the reflexive points, le is f cut to P, and for each x outside P,
+    A[x] is f(x) cut to P and B[x] the points of P that reach x.
+    """
+    reflexive = frozenset(x for x in range(n) if (x, x) in f)
+    le = frozenset((p, q) for p, q in f if p in reflexive and q in reflexive)
+    rest = [x for x in range(n) if x not in reflexive]
+    up = {x: frozenset(q for q in reflexive if (x, q) in f) for x in rest}
+    down = {x: frozenset(p for p in reflexive if (p, x) in f) for x in rest}
+    return reflexive, le, up, down
+
+
+def o_recompose(n: int, reflexive, le: Pairs, up, down) -> Pairs:
+    """The relation with these parts: (x, y) is in it exactly when some
+    reflexive point lies in x's up-set and in y's down-set."""
+    ups = {**up, **{p: {q for a, q in le if a == p} for p in reflexive}}
+    downs = {**down, **{q: {p for p, b in le if b == q} for q in reflexive}}
+    return frozenset((x, y) for x in range(n) for y in range(n) if ups[x] & downs[y])

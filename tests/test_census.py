@@ -288,6 +288,47 @@ def _burnside_by_subsets(n: int) -> int:
     return total // len(perms)
 
 
+class TestIdempotentStructure:
+    """The census counts against the structure of idempotent relations.
+
+    Decomposing maps each idempotent full relation to one valid choice of
+    (P, le, A, B) and rebuilding undoes it, so the count of valid choices,
+    I(n), is at least the number of idempotent relations, with equality
+    exactly when every valid choice rebuilds an idempotent relation.
+    """
+
+    @pytest.mark.parametrize("n,idempotent,trivial", [
+        (1, 1, 1), (2, 6, 3), (3, 62, 13), (4, 1123, 87)])
+    def test_census_counts_equal_the_closed_forms(self, n, idempotent, trivial):
+        assert (o.o_idempotent_count(n), o.o_trivial_count(n)) == (idempotent, trivial)
+        r = survey(n)
+        assert (r.idempotent_full, r.trivial_idempotent) == (idempotent, trivial)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_idempotent_relation_rebuilds_from_its_parts(self, n):
+        for g in idempotent_relations(n):
+            f = o.pairs_of(g)
+            reflexive, le, up, down = o.o_decompose(n, f)
+            assert o.o_compose(le, le) == le  # a preorder: le holds every (p, p)
+            for x in up:
+                a, b = up[x], down[x]
+                assert a and not a & b
+                assert all(q in a for p, q in le if p in a)
+                assert all(p in b for p, q in le if q in b)
+                assert all((p, q) in le for p in b for q in a)
+            assert o.o_recompose(n, reflexive, le, up, down) == f
+            # nontrivial exactly when the preorder has a pair off its diagonal
+            assert is_trivial(g) == (len(le) == len(reflexive))
+
+    def test_four_point_surjections_and_identities(self):
+        idem = [f for f in o.o_all_full_relations(4) if o.o_is_idempotent(f)]
+        surjective = sum(1 for f in idem if o.o_is_surjective(4, f))
+        identities = sum(1 for f in idem if f == o.o_identity(4))
+        assert (surjective, identities) == (559, 1)
+        r = survey(4)
+        assert (r.surjective_idempotent, r.identity_count) == (surjective, identities)
+
+
 class TestSurveyUpToIso:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_burnside_class_count_matches_subset_count(self, n):

@@ -5,6 +5,11 @@ check in ``census._check_idempotent`` can fire.  Each test below breaks one
 collaborator that ``finrel.census`` imports, runs the census, and asserts that
 exactly the expected reason is reported, both by ``survey`` and by
 ``finrel survey``, which must then exit 1.
+
+The census transposes two things through ``census._inverse_rows``: f, whose
+rows are a tuple, and f o f, which ``_compose_rows`` returns as a list.  The
+law tests break only the second, so the pipeline, the surjectivity count and
+the left side of the law keep a correct transpose of f.
 """
 
 import json
@@ -71,8 +76,11 @@ def test_an_invalid_witness_is_caught_by_the_census_itself(corrupt, monkeypatch,
 
 
 def test_a_trivial_surjection_must_be_the_identity(monkeypatch, capsys):
-    monkeypatch.setattr(census, "is_surjective", lambda f: True)
-    assert_flagged(capsys, "trivial idempotent surjection differs from the identity")
+    # TARGET is surjective and not the identity; all three tests call it trivial
+    assert all(census._inverse_rows(TARGET.rows))
+    for name in ("nontriviality_witness", "satisfies_gamma", "two_point_witness"):
+        monkeypatch.setattr(census, name, only_on_target(getattr(census, name), lambda f: None))
+    assert_flagged(capsys, "trivial idempotent surjection differs from the identity", count=1)
 
 
 def test_the_law_compares_both_sides(monkeypatch, capsys):
@@ -80,12 +88,12 @@ def test_the_law_compares_both_sides(monkeypatch, capsys):
 
     def drop_lowest_bit(rows):
         out = real(rows)
-        if list(rows) == list(TARGET.rows):
+        if type(rows) is list and rows == list(TARGET.rows):
             x = next(x for x, row in enumerate(out) if row)
             out[x] &= out[x] - 1
         return out
 
-    # the census's own transpose of f o f; its inverse(f) stays correct
+    # the census's transpose of TARGET o TARGET; its transpose of TARGET stays correct
     monkeypatch.setattr(census, "_inverse_rows", drop_lowest_bit)
     assert_flagged(capsys, "squaring does not commute with inversion", count=1)
 
@@ -95,15 +103,14 @@ def test_the_law_squares_f_instead_of_assuming_f_o_f_is_f(monkeypatch, capsys):
 
     def drop_lowest_bit(frows, grows):
         out = real(frows, grows)
-        # squares of the tuple TARGET.rows only, so the backtracker's leaf test,
-        # which squares a list, still finds TARGET; the left side of the law
-        # for inverse(TARGET) squares these rows too and is flagged as well
+        # squares of the tuple TARGET.rows only, so the backtracker's leaf test
+        # and the left side of the law, which square lists, are untouched
         if frows == TARGET.rows and grows == TARGET.rows:
             out[0] &= out[0] - 1
         return out
 
     monkeypatch.setattr(census, "_compose_rows", drop_lowest_bit)
-    assert_flagged(capsys, "squaring does not commute with inversion", count=2)
+    assert_flagged(capsys, "squaring does not commute with inversion", count=1)
 
 
 def test_a_census_that_flags_everything_keeps_a_bounded_sample(monkeypatch, capsys):
@@ -111,8 +118,9 @@ def test_a_census_that_flags_everything_keeps_a_bounded_sample(monkeypatch, caps
 
     def drop_lowest_bit(rows):
         out = real(rows)
-        x = next(x for x, row in enumerate(out) if row)
-        out[x] &= out[x] - 1
+        if type(rows) is list:
+            x = next(x for x, row in enumerate(out) if row)
+            out[x] &= out[x] - 1
         return out
 
     # every transpose of f o f loses a pair, so the law fails on every relation

@@ -90,9 +90,10 @@ class TestRelationType:
             assert f.pairs() == sorted(o.pairs_of(f))
 
     def test_membership(self, t_relation):
-        assert (2, 0) in t_relation
-        assert (0, 2) not in t_relation
-        assert (9, 9) not in t_relation
+        assert t_relation.has(2, 0)
+        assert not t_relation.has(0, 2)
+        assert (2, 0) in t_relation.pairs()
+        assert (9, 9) not in t_relation.pairs()
 
     def test_successors_sorted(self, t_relation):
         assert t_relation.successors(2) == (0, 1)
