@@ -89,7 +89,8 @@ class Relation:
         return cls(n, tuple(rows))
 
     def has(self, x: int, y: int) -> bool:
-        return (self.rows[x] >> y) & 1 == 1
+        """Whether (x, y) is in the relation; False for points outside the carrier."""
+        return 0 <= x < self.n and 0 <= y < self.n and (self.rows[x] >> y) & 1 == 1
 
     def successors(self, x: int) -> tuple[int, ...]:
         """The sorted successor set f(x)."""

@@ -15,13 +15,13 @@ chains only visit the points of range(f), a bitmask in f's own labels.  The
 restriction of f to its range is full, idempotent, surjective and still
 nontrivial, and the resulting pattern is a pattern of f itself.
 
-Both lemmas are one argument, and ``_walk`` states it once: from a start
-point, step to the least fresh successor until a reflexive point appears.
-It asserts the structural facts that idempotence guarantees at each step
-(no edge back to the seed, every earlier chain point sees the new one, no
-back-edges, the seed point stays a predecessor).  On a finite carrier a
-chain of distinct points cannot outrun the carrier, so exhaustion of fresh
-points is a logic error and raises immediately rather than looping.
+Both lemmas are one argument, and ``_walk`` states it once: from the points
+already placed, step to the least successor of the last one until a
+reflexive point appears.  Lemma 1 places its start point, Lemma 2 its seed
+(x, y), so x is simply chain point 0.  Each new point must be seen by
+every chain point and see none of them back, as idempotence guarantees;
+so the chain never revisits a point, and running out of successors is a
+logic error that raises at once rather than looping.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def _reflexive_pair(rows: tuple[int, ...], rng: int) -> WitnessChain:
                 return WitnessChain(KIND_REFLEXIVE_PAIR, (), None, (b, a))
         raise AssertionError("nontrivial relation equal to the identity")
 
-    chain = _walk(rows, rng, x0, x0)
+    chain = _walk(rows, rng, [x0])
     return WitnessChain(KIND_REFLEXIVE_PAIR, tuple(chain), None, (chain[-1], chain[-2]))
 
 
@@ -149,45 +149,39 @@ def _gamma_from_seed(rows: Sequence[int], rng: int, x: int, y: int) -> WitnessCh
         raise PreconditionError(f"seed requires ({x}, {x}) in the relation")
     if not (row_x >> y) & 1:
         raise PreconditionError(f"seed requires ({x}, {y}) in the relation")
+    # the walk checks the points it appends; a reflexive y ends the chain at once
+    row_y = rows[y]
+    if not (row_y >> y) & 1 and (row_y >> x) & 1:
+        raise AssertionError(f"back-edge ({y}, {x}) violates the chain order")
 
-    chain = _walk(rows, rng, x, y)
-    return WitnessChain(KIND_GAMMA_FROM_SEED, tuple(chain), (x, y), (x, chain[-1]))
+    chain = _walk(rows, rng, [x, y])
+    return WitnessChain(KIND_GAMMA_FROM_SEED, tuple(chain[1:]), (x, y), (x, chain[-1]))
 
 
-def _walk(rows: Sequence[int], rng: int, seed: int, start: int) -> list[int]:
-    """The chain from ``start`` along least fresh successors in ``rng`` to a reflexive point.
+def _walk(rows: Sequence[int], rng: int, chain: list[int]) -> list[int]:
+    """Extend ``chain`` along least successors in ``rng`` until it ends on a reflexive point.
 
-    ``seed`` must see every chain point, and no chain point before the last
-    may see it back (Lemma 1 takes seed = start).  Every step asserts what idempotence
-    guarantees, so the walk ends on a reflexive point within
-    ``rng.bit_count()`` steps; the chain is ``[start]`` if start is reflexive.
+    ``chain`` holds the points of ``rng`` already placed, in order: ``[x0]``
+    for Lemma 1, ``[x, y]`` for Lemma 2.  Unless its last point is
+    reflexive, no point may see an earlier one.  Each appended point must be
+    seen by every chain point and see none of them back, so the last point
+    never sees a chain point, its successors are all fresh, and the walk
+    ends within ``rng.bit_count()`` points.  It returns ``chain`` itself,
+    unchanged if its last point is reflexive.
     """
-    chain = [start]
-    if (rows[start] >> start) & 1:
-        return chain
-    visited = 1 << start
-    for _ in range(rng.bit_count()):
-        cur = chain[-1]
-        if (rows[cur] >> seed) & 1:
-            raise AssertionError(f"non-final chain point {cur} has an edge back to the seed")
-        fresh = rows[cur] & rng & ~visited
+    cur = chain[-1]
+    while not (rows[cur] >> cur) & 1:
+        fresh = rows[cur] & rng
         if not fresh:
             raise AssertionError("chain exhausted fresh points without a reflexive one")
-        nxt = (fresh & -fresh).bit_length() - 1
+        cur = (fresh & -fresh).bit_length() - 1
         for c in chain:
-            if not (rows[c] >> nxt) & 1:
-                raise AssertionError(f"chain point {c} does not see successor {nxt}")
-            if (rows[nxt] >> c) & 1:
-                raise AssertionError(f"back-edge ({nxt}, {c}) violates the chain order")
-        if not (rows[seed] >> nxt) & 1:
-            raise AssertionError(f"seed point {seed} lost sight of chain point {nxt}")
-        if nxt == seed:
-            raise AssertionError("chain ran into the seed point")
-        chain.append(nxt)
-        visited |= 1 << nxt
-        if (rows[nxt] >> nxt) & 1:
-            return chain
-    raise AssertionError("chain exceeded the carrier size")
+            if not (rows[c] >> cur) & 1:
+                raise AssertionError(f"chain point {c} does not see successor {cur}")
+            if (rows[cur] >> c) & 1:
+                raise AssertionError(f"back-edge ({cur}, {c}) violates the chain order")
+        chain.append(cur)
+    return chain
 
 
 def gamma_witness(f: Relation) -> GammaWitness:

@@ -49,6 +49,7 @@ def test_criterion_1_census_has_no_counterexamples():
     assert report.counterexamples == ()
     assert report.gamma_idempotent == report.nontrivial_idempotent
     assert (report.surjective_idempotent, report.identity_count) == (14_962, 1)
+    assert report.trivial_idempotent == o.o_trivial_count(5) == 841
     assert report.elapsed < 60.0, f"n=5 scan took {report.elapsed:.1f}s"
     print(f"\nPASS criterion 1: census clean for n=1..5 "
           f"({report.full:,} candidates at n=5 in {report.elapsed:.1f}s)")

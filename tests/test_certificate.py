@@ -6,10 +6,11 @@ collaborator that ``finrel.census`` imports, runs the census, and asserts that
 exactly the expected reason is reported, both by ``survey`` and by
 ``finrel survey``, which must then exit 1.
 
-The census transposes two things through ``census._inverse_rows``: f, whose
-rows are a tuple, and f o f, which ``_compose_rows`` returns as a list.  The
-law tests break only the second, so the pipeline, the surjectivity count and
-the left side of the law keep a correct transpose of f.
+The census transposes f once through ``census._inverse_rows``, and the law
+squares that transpose through ``census._compose_rows``.  The law tests break
+only that square, so the pipeline and the surjectivity count keep a correct
+transpose of f, and the backtracker's leaf test, which squares rows through
+the same ``_compose_rows``, keeps a correct square.
 """
 
 import json
@@ -18,17 +19,50 @@ from dataclasses import replace
 import pytest
 
 import finrel.census as census
+import oracles as o
 from finrel import Relation, survey
 from test_io_cli import run_cli
 
 N = 3
 # idempotent, full and nontrivial: (0,0), (0,1), (1,1) is its gamma pattern
 TARGET = Relation.from_pairs(N, [(0, 0), (0, 1), (1, 1), (2, 2)])
+LAW = "squaring does not commute with inversion"
 
 
 def only_on_target(real, fault):
     """``real`` everywhere except on TARGET, where ``fault`` answers instead."""
     return lambda f, *rest: fault(f, *rest) if f == TARGET else real(f, *rest)
+
+
+def break_the_square_of_the_transpose(monkeypatch, fault, rows=None):
+    """Let ``fault`` edit the law's square of the census's transpose of f.
+
+    The square is told apart by the identity of its argument, the list that
+    ``census._inverse_rows`` returned last, not by row values: inverse(TARGET)
+    is itself idempotent, so the leaf test squares equal rows too.  With
+    ``rows`` given, only the transpose of the f with those rows is broken.
+    """
+    real_inverse, real_compose = census._inverse_rows, census._compose_rows
+    transpose = []
+
+    def inverse(frows):
+        out = real_inverse(frows)
+        transpose[:] = [out] if rows is None or frows == rows else []
+        return out
+
+    def compose(frows, grows):
+        out = real_compose(frows, grows)
+        if transpose and frows is transpose[0] and grows is transpose[0]:
+            fault(out)
+        return out
+
+    monkeypatch.setattr(census, "_inverse_rows", inverse)
+    monkeypatch.setattr(census, "_compose_rows", compose)
+
+
+def drop_lowest_pair(rows):
+    x = next(x for x, row in enumerate(rows) if row)
+    rows[x] &= rows[x] - 1
 
 
 def assert_flagged(capsys, reason, count=None, n=N):
@@ -65,9 +99,11 @@ def test_a_failing_pipeline_is_reported_with_its_error(monkeypatch, capsys):
 @pytest.mark.parametrize("corrupt", [
     lambda gw: replace(gw, pair=(1, 0)),
     lambda gw: replace(gw, pair=(0, 0)),
+    lambda gw: replace(gw, pair=(N, 0)),
     lambda gw: replace(gw, reflexive_stage=replace(gw.reflexive_stage, chain=(0,) * (N + 1))),
     lambda gw: replace(gw, extension_stage=replace(gw.extension_stage, chain=(0,) * (N + 1))),
-], ids=["pair_outside_f", "pair_not_distinct", "long_reflexive_chain", "long_extension_chain"])
+], ids=["pair_outside_f", "pair_not_distinct", "pair_outside_carrier",
+     "long_reflexive_chain", "long_extension_chain"])
 def test_an_invalid_witness_is_caught_by_the_census_itself(corrupt, monkeypatch, capsys):
     real = census._gamma_pipeline
     monkeypatch.setattr(census, "_gamma_pipeline",
@@ -84,51 +120,45 @@ def test_a_trivial_surjection_must_be_the_identity(monkeypatch, capsys):
 
 
 def test_the_law_compares_both_sides(monkeypatch, capsys):
-    real = census._inverse_rows
-
-    def drop_lowest_bit(rows):
-        out = real(rows)
-        if type(rows) is list and rows == list(TARGET.rows):
-            x = next(x for x, row in enumerate(out) if row)
-            out[x] &= out[x] - 1
-        return out
-
-    # the census's transpose of TARGET o TARGET; its transpose of TARGET stays correct
-    monkeypatch.setattr(census, "_inverse_rows", drop_lowest_bit)
-    assert_flagged(capsys, "squaring does not commute with inversion", count=1)
+    # the square of TARGET's transpose loses a pair, so it no longer equals the transpose
+    break_the_square_of_the_transpose(monkeypatch, drop_lowest_pair, TARGET.rows)
+    assert_flagged(capsys, LAW, count=1)
 
 
 def test_the_law_squares_f_instead_of_assuming_f_o_f_is_f(monkeypatch, capsys):
-    real = census._compose_rows
+    def add_lowest_missing_pair(rows):
+        missing = ~rows[0] & ((1 << N) - 1)
+        rows[0] |= missing & -missing
 
-    def drop_lowest_bit(frows, grows):
-        out = real(frows, grows)
-        # squares of the tuple TARGET.rows only, so the backtracker's leaf test
-        # and the left side of the law, which square lists, are untouched
-        if frows == TARGET.rows and grows == TARGET.rows:
-            out[0] &= out[0] - 1
-        return out
+    # the square of TARGET's transpose gains a pair: the law squares, it does not assume
+    break_the_square_of_the_transpose(monkeypatch, add_lowest_missing_pair, TARGET.rows)
+    assert_flagged(capsys, LAW, count=1)
 
-    monkeypatch.setattr(census, "_compose_rows", drop_lowest_bit)
-    assert_flagged(capsys, "squaring does not commute with inversion", count=1)
+
+def test_the_law_catches_every_non_idempotent_relation(monkeypatch):
+    real = census.idempotent_relations
+    non_idempotent = [f for f in census.full_relations(N) if not o.o_is_idempotent(o.pairs_of(f))]
+    assert len(non_idempotent) == 281
+
+    def with_non_idempotent(n):
+        yield from real(n)
+        yield from non_idempotent
+
+    # a broken leaf test lets every non-idempotent full relation through
+    monkeypatch.setattr(census, "idempotent_relations", with_non_idempotent)
+    monkeypatch.setattr(census, "COUNTEREXAMPLE_CAP", float("inf"))  # keep every report
+    report = survey(N)
+    flagged = [Relation.from_pairs(doc["n"], doc["pairs"])
+               for doc in report.counterexamples if doc["reason"] == LAW]
+    assert flagged == non_idempotent
 
 
 def test_a_census_that_flags_everything_keeps_a_bounded_sample(monkeypatch, capsys):
-    real = census._inverse_rows
-
-    def drop_lowest_bit(rows):
-        out = real(rows)
-        if type(rows) is list:
-            x = next(x for x, row in enumerate(out) if row)
-            out[x] &= out[x] - 1
-        return out
-
-    # every transpose of f o f loses a pair, so the law fails on every relation
-    monkeypatch.setattr(census, "_inverse_rows", drop_lowest_bit)
+    # every square of the transpose loses a pair, so the law fails on every relation
+    break_the_square_of_the_transpose(monkeypatch, drop_lowest_pair)
     idempotent = survey(4).idempotent_full
     assert idempotent > census.COUNTEREXAMPLE_CAP
-    report = assert_flagged(capsys, "squaring does not commute with inversion",
-                            count=idempotent, n=4)
+    report = assert_flagged(capsys, LAW, count=idempotent, n=4)
     assert len(report.counterexamples) == census.COUNTEREXAMPLE_CAP
     code, out, _ = run_cli(capsys, "survey", "--n", "4", "--json")
     assert code == 1

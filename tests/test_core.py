@@ -95,6 +95,12 @@ class TestRelationType:
         assert (2, 0) in t_relation.pairs()
         assert (9, 9) not in t_relation.pairs()
 
+    def test_membership_outside_the_carrier_is_false(self):
+        f = Relation.from_pairs(2, [(1, 0)])
+        assert not f.has(-1, 0)  # not row 1 read from the end
+        assert not f.has(0, -1)
+        assert not f.has(2, 0)
+
     def test_successors_sorted(self, t_relation):
         assert t_relation.successors(2) == (0, 1)
 

@@ -355,7 +355,7 @@ class TestChainAssertions:
             _reflexive_pair((0b10, 0b01), 0b11)
 
     def test_seeded_edge_back_to_the_seed(self):
-        with fails_with("non-final chain point 1 has an edge back to the seed"):
+        with fails_with("back-edge (1, 0) violates the chain order"):
             _gamma_from_seed((0b011, 0b101, 0b100), 0b111, 0, 1)
 
     def test_seeded_exhausted(self):
@@ -363,7 +363,7 @@ class TestChainAssertions:
             _gamma_from_seed((0b011, 0b000), 0b11, 0, 1)
 
     def test_seeded_seed_lost_sight(self):
-        with fails_with("seed point 0 lost sight of chain point 2"):
+        with fails_with("chain point 0 does not see successor 2"):
             _gamma_from_seed((0b011, 0b100, 0b100), 0b111, 0, 1)
 
     def test_seeded_chain_point_does_not_see(self):
