@@ -16,12 +16,16 @@ and the law squares it.  The backtracker's leaf test has already shown
 f o f = f, so the inverse of the square is the transpose itself, and the
 law checks that the transpose is idempotent.  That holds exactly when f
 is, so the law also catches a non-idempotent f that reached the checks.
+The census reads the pipeline's packed tuple (pair, both chains, range
+mask) and re-checks it; only the public ``witness`` functions build records.
 
 The n=5 space holds 31**5 = 28,629,151 candidates, too many to visit one
 by one in pure Python.  An idempotent relation is transitive, so a
 backtracker places the rows from row 0 on and drops a row as soon as it
 breaks transitivity; at n=5 only 47,262 relations reach the exact
-idempotence test.  Exhaustive agreement tests at small n pin it to the filter.
+idempotence test at the leaf.  A transitive f already has f o f within f, so
+that test only checks that each irreflexive row is the union of the rows of
+its points.  Exhaustive agreement tests at small n pin it to the filter.
 The census is one sequential pass of that backtracker into one tally.
 Mode ``up_to_iso`` runs the same pass, keeps the idempotent relations that
 no relabeling makes smaller, and counts the classes of full relations by
@@ -83,22 +87,33 @@ def idempotent_relations(n: int) -> Iterator[Relation]:
 
     def place(i: int) -> Iterator[Relation]:
         if i == n:
-            if _compose_rows(rows, rows) == rows:
-                yield Relation._trusted(n, tuple(rows))
+            # the pruning made f transitive, so f o f lies within f; f lies
+            # within f o f when each row x is the union of the rows of its
+            # points, which a reflexive row covers with rows[x] itself
+            for x, row in enumerate(rows):
+                if not (row >> x) & 1:
+                    acc, rest = 0, row
+                    while rest:
+                        low = rest & -rest
+                        acc |= rows[low.bit_length() - 1]
+                        rest ^= low
+                    if acc != row:
+                        return
+            yield Relation._trusted(n, tuple(rows))
             return
         cap = (1 << n) - 1
         for x in range(i):
             if (rows[x] >> i) & 1:
                 cap &= rows[x]
-        for v in range(1, cap + 1):
-            if v & ~cap:
-                continue
+        v = cap & -cap
+        while v:  # the nonempty submasks of cap, ascending
             for x in range(i):
                 if (v >> x) & 1 and rows[x] & ~v:
                     break
             else:
                 rows[i] = v
                 yield from place(i + 1)
+            v = (v - cap) & cap
 
     return place(0)
 
@@ -211,25 +226,25 @@ def _check_idempotent(f: Relation, tally: _Tally) -> None:
     if (gam is None) != trivial or (two is None) != trivial:
         _flag(tally, f, "trivial / gamma / two-point disagreement")
 
-    inv = _inverse_rows(f.rows)
+    rows, n = f.rows, f.n
+    inv = _inverse_rows(rows)
     if not trivial:
         try:
-            gw = _gamma_pipeline(f, inv)
+            pair, chain1, chain2, _ = _gamma_pipeline(rows, inv)
         except Exception as exc:  # any failure here is exactly what we scan for
             _flag(tally, f, f"gamma pipeline failed: {exc}")
         else:
-            u, v = gw.pair
-            ok = u != v and f.has(u, u) and f.has(u, v) and f.has(v, v)
-            ok = ok and len(gw.reflexive_stage.chain) <= f.n
-            ok = ok and len(gw.extension_stage.chain) <= f.n
-            if not ok:
+            u, v = pair
+            ok = u != v and 0 <= u < n and 0 <= v < n
+            ok = ok and (rows[u] >> u) & (rows[u] >> v) & (rows[v] >> v) & 1
+            if not ok or len(chain1) > n or len(chain2) > n:
                 _flag(tally, f, "gamma pipeline returned an invalid witness")
 
     surjective = all(inv)  # every point has a predecessor
     if surjective:
         tally.surjective_idempotent += 1
 
-    ident = all(row == 1 << x for x, row in enumerate(f.rows))
+    ident = all(row == 1 << x for x, row in enumerate(rows))
     if ident:
         tally.identity_count += 1
     if trivial and surjective and not ident:

@@ -89,7 +89,10 @@ class Relation:
         return cls(n, tuple(rows))
 
     def has(self, x: int, y: int) -> bool:
-        """Whether (x, y) is in the relation; False for points outside the carrier."""
+        """Whether (x, y) is in the relation; False for int points outside the carrier."""
+        for p in (x, y):
+            if type(p) is not int:
+                raise ValueError(f"point {p!r} is a {type(p).__name__}, not an int")
         return 0 <= x < self.n and 0 <= y < self.n and (self.rows[x] >> y) & 1 == 1
 
     def successors(self, x: int) -> tuple[int, ...]:

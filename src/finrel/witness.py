@@ -22,6 +22,10 @@ reflexive point appears.  Lemma 1 places its start point, Lemma 2 its seed
 every chain point and see none of them back, as idempotence guarantees;
 so the chain never revisits a point, and running out of successors is a
 logic error that raises at once rather than looping.
+
+Each lemma has one packed core returning plain values, ``(chain, result)``
+or, for the pipeline, ``(pair, chain1, chain2, rng)``.  The census reads
+them directly; only the public functions build records, from the same cores.
 """
 
 from __future__ import annotations
@@ -95,30 +99,34 @@ def reflexive_pair_witness(f: Relation) -> WitnessChain:
     until it hits a reflexive one, which happens within n steps.
     """
     _require(f, "reflexive_pair_witness")
-    return _reflexive_pair(f.rows, (1 << f.n) - 1)
+    chain, result = _reflexive_pair(f.rows, (1 << f.n) - 1)
+    return WitnessChain(KIND_REFLEXIVE_PAIR, tuple(chain), None, result)
 
 
-def _reflexive_pair(rows: tuple[int, ...], rng: int) -> WitnessChain:
-    """``reflexive_pair_witness`` on f cut to the points of ``rng``.
+def _reflexive_pair(rows: Sequence[int], rng: int) -> tuple[list[int], tuple[int, int]]:
+    """``reflexive_pair_witness`` on f cut to the points of ``rng``, as (chain, result).
 
     ``rows`` are those of an f whose preconditions hold, and ``rng`` holds
     every row (the whole carrier, or range(f)), so f cut to ``rng`` is full,
     idempotent and nontrivial; every least point is taken among its points.
     """
-    for x0 in iter_bits(rng):
-        if not (rows[x0] >> x0) & 1:
-            break
-    else:
-        # identity properly contained: any off-diagonal (a, b) gives y=a, x=b
-        for a in iter_bits(rng):
-            off = rows[a] & ~(1 << a)
-            if off:
-                b = (off & -off).bit_length() - 1
-                return WitnessChain(KIND_REFLEXIVE_PAIR, (), None, (b, a))
-        raise AssertionError("nontrivial relation equal to the identity")
-
-    chain = _walk(rows, rng, [x0])
-    return WitnessChain(KIND_REFLEXIVE_PAIR, tuple(chain), None, (chain[-1], chain[-2]))
+    rest = rng
+    while rest:
+        low = rest & -rest
+        if not rows[low.bit_length() - 1] & low:
+            chain = _walk(rows, rng, [low.bit_length() - 1])
+            return chain, (chain[-1], chain[-2])
+        rest ^= low
+    # identity properly contained: any off-diagonal (a, b) gives y=a, x=b
+    rest = rng
+    while rest:
+        low = rest & -rest
+        a = low.bit_length() - 1
+        off = rows[a] & ~low
+        if off:
+            return [], ((off & -off).bit_length() - 1, a)
+        rest ^= low
+    raise AssertionError("nontrivial relation equal to the identity")
 
 
 def gamma_from_seed(f: Relation, x: int, y: int) -> WitnessChain:
@@ -130,14 +138,16 @@ def gamma_from_seed(f: Relation, x: int, y: int) -> WitnessChain:
     appears within n steps, giving (x,x), (x,z), (z,z) in f.
     """
     _require(f, "gamma_from_seed", nontrivial=False)
-    return _gamma_from_seed(f.rows, (1 << f.n) - 1, x, y)
+    chain, result = _gamma_from_seed(f.rows, (1 << f.n) - 1, x, y)
+    return WitnessChain(KIND_GAMMA_FROM_SEED, tuple(chain), (x, y), result)
 
 
-def _gamma_from_seed(rows: Sequence[int], rng: int, x: int, y: int) -> WitnessChain:
+def _gamma_from_seed(rows: Sequence[int], rng: int, x: int,
+                     y: int) -> tuple[list[int], tuple[int, int]]:
     """``gamma_from_seed`` on the relation whose rows are ``rows`` ANDed with ``rng``.
 
     That relation must be full and idempotent on the points of ``rng``; the
-    seed is still checked.
+    seed is still checked.  Returns (chain, result), the chain without x.
     """
     n = len(rows)
     if not (0 <= x < n and 0 <= y < n):
@@ -155,7 +165,7 @@ def _gamma_from_seed(rows: Sequence[int], rng: int, x: int, y: int) -> WitnessCh
         raise AssertionError(f"back-edge ({y}, {x}) violates the chain order")
 
     chain = _walk(rows, rng, [x, y])
-    return WitnessChain(KIND_GAMMA_FROM_SEED, tuple(chain[1:]), (x, y), (x, chain[-1]))
+    return chain[1:], (x, chain[-1])
 
 
 def _walk(rows: Sequence[int], rng: int, chain: list[int]) -> list[int]:
@@ -197,30 +207,35 @@ def gamma_witness(f: Relation) -> GammaWitness:
     valid for f but not necessarily the lexicographically least gamma pair.
     """
     _require(f, "gamma_witness")
-    return _gamma_pipeline(f, _inverse_rows(f.rows))
+    pair, chain1, chain2, rng = _gamma_pipeline(f.rows, _inverse_rows(f.rows))
+    # the extension grew stage 1's result (x, y) into (x, z): its chain starts at y
+    z, x = pair
+    seed = (x, chain2[0])
+    reflexive = WitnessChain(KIND_REFLEXIVE_PAIR, tuple(chain1), None, seed)
+    extension = WitnessChain(KIND_GAMMA_FROM_SEED, tuple(chain2), seed, (x, z))
+    restricted_to = None if rng == (1 << f.n) - 1 else tuple(iter_bits(rng))
+    return GammaWitness(pair, reflexive, extension, restricted_to)
 
 
-def _gamma_pipeline(f: Relation, inv: Sequence[int]) -> GammaWitness:
-    """``gamma_witness`` on an f whose preconditions hold, given its transposed rows.
+def _gamma_pipeline(rows: Sequence[int],
+                    inv: Sequence[int]) -> tuple[tuple[int, int], list[int], list[int], int]:
+    """``gamma_witness`` on the rows of an f whose preconditions hold, given its transpose.
 
-    ``inv`` holds the packed rows of inverse(f), as ``_inverse_rows(f.rows)``
+    ``inv`` holds the packed rows of inverse(f), as ``_inverse_rows(rows)``
     returns them.  Both chains only visit ``rng``, the range of f as a
     bitmask.  Every row of f lies in it, so f cut to ``rng`` is full,
     idempotent and surjective there, and it stays nontrivial: a
     nontriviality witness (x, a) lifts to (c, a) for some c in f(x), and c
     lies in the range.  The rows of inv ANDed with ``rng`` are the
-    transpose of that cut, in f's labels.
+    transpose of that cut, in f's labels.  Returns the gamma pair, both
+    chains and ``rng``.
     """
     rng = 0
-    for row in f.rows:
+    for row in rows:
         rng |= row
-    stage1 = _reflexive_pair(f.rows, rng)
-    x, y = stage1.result
-    stage2 = _gamma_from_seed(inv, rng, x, y)
-    a, z = stage2.result  # (a,a),(a,z),(z,z) in inv, hence (z,z),(z,a),(a,a) in f
-
-    if z == a or not (f.has(z, z) and f.has(z, a) and f.has(a, a)):
+    chain1, (x, y) = _reflexive_pair(rows, rng)
+    chain2, (a, z) = _gamma_from_seed(inv, rng, x, y)
+    # (a,a),(a,z),(z,z) in inv, hence (z,z),(z,a),(a,a) in f
+    if z == a or not (rows[z] >> z) & (rows[z] >> a) & (rows[a] >> a) & 1:
         raise AssertionError(f"pipeline produced an invalid gamma pair ({z}, {a})")
-    restricted_to = None if rng == (1 << f.n) - 1 else tuple(iter_bits(rng))
-    return GammaWitness(pair=(z, a), reflexive_stage=stage1, extension_stage=stage2,
-                        restricted_to=restricted_to)
+    return (z, a), chain1, chain2, rng

@@ -143,24 +143,57 @@ def o_chain_faults(n: int, f: Pairs, kind: str, chain: Sequence[int],
     return faults
 
 
+def _set_partitions(points: list[int]) -> Iterator[list[list[int]]]:
+    """Every partition of ``points`` into blocks: the first point starts a
+    block of its own or joins a block of a partition of the rest."""
+    if not points:
+        yield []
+        return
+    first = points[0]
+    for blocks in _set_partitions(points[1:]):
+        yield [[first], *blocks]
+        for i, block in enumerate(blocks):
+            yield [*blocks[:i], [first, *block], *blocks[i + 1:]]
+
+
+def _attachments(k: int, le: Pairs) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
+    """The pairs (A, B) of an up-set A and a down-set B of le on k points,
+    disjoint, with every point of B below every point of A."""
+    sets = [frozenset(), *_nonempty_subsets(k)]
+    ups = [a for a in sets if all(q in a for p, q in le if p in a)]
+    downs = [b for b in sets if all(p in b for p, q in le if q in b)]
+    for a in ups:
+        for b in downs:
+            if not a & b and all((p, q) in le for p in b for q in a):
+                yield a, b
+
+
+def o_partial_orders(m: int) -> Iterator[Pairs]:
+    """Every partial order on m points.  Each extends one on the first m - 1
+    points: the new point sits above a down-set B and below an up-set A,
+    disjoint and with B below A, which keeps the order transitive and
+    antisymmetric."""
+    if m == 0:
+        yield frozenset()
+        return
+    new = m - 1
+    for le in o_partial_orders(new):
+        for above, below in _attachments(new, le):
+            yield le | {(new, new)} | {(p, new) for p in below} | {(new, q) for q in above}
+
+
 def o_preorders(k: int) -> Iterator[Pairs]:
-    """Every preorder on k points: each reflexive pair set closed under composition."""
-    diagonal = o_identity(k)
-    off = [(x, y) for x in range(k) for y in range(k) if x != y]
-    for keep in itertools.product((False, True), repeat=len(off)):
-        le = diagonal | {p for p, kept in zip(off, keep) if kept}
-        if o_compose(le, le) <= le:
-            yield le
+    """Every preorder on k points: a set partition of the points into the
+    classes of mutually related points, then a partial order on the classes."""
+    for blocks in _set_partitions(list(range(k))):
+        for order in o_partial_orders(len(blocks)):
+            yield frozenset((x, y) for i, j in order for x in blocks[i] for y in blocks[j])
 
 
 def o_attachments(k: int, le: Pairs) -> int:
     """c(le): the pairs (A, B) of a nonempty up-set A and a down-set B of le
     on k points, disjoint, with every point of B below every point of A."""
-    sets = [frozenset(), *_nonempty_subsets(k)]
-    ups = [a for a in sets if a and all(q in a for p, q in le if p in a)]
-    downs = [b for b in sets if all(p in b for p, q in le if q in b)]
-    return sum(1 for a in ups for b in downs
-               if not a & b and all((p, q) in le for p in b for q in a))
+    return sum(1 for a, _ in _attachments(k, le) if a)
 
 
 def o_idempotent_count(n: int) -> int:
@@ -169,9 +202,9 @@ def o_idempotent_count(n: int) -> int:
     Such a relation f is its reflexive points P (k of them), the preorder
     f cut to P, and for each of the n - k other points x an independent
     choice of A(x) = f(x) cut to P and B(x) = the points of P that reach x:
-    see ``o_decompose``.
+    see ``o_decompose``.  With k = n there is no choice to count.
     """
-    return sum(math.comb(n, k) * o_attachments(k, le) ** (n - k)
+    return sum(math.comb(n, k) * (o_attachments(k, le) ** (n - k) if k < n else 1)
                for k in range(n + 1) for le in o_preorders(k))
 
 

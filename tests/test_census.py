@@ -297,8 +297,26 @@ class TestIdempotentStructure:
     exactly when every valid choice rebuilds an idempotent relation.
     """
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    def test_preorders_from_partitions_are_the_filtered_pair_sets(self, k):
+        # every reflexive pair set closed under composition, by brute force
+        diagonal = o.o_identity(k)
+        off = [(x, y) for x in range(k) for y in range(k) if x != y]
+        filtered = set()
+        for keep in itertools.product((False, True), repeat=len(off)):
+            le = diagonal | {p for p, kept in zip(off, keep) if kept}
+            if o.o_compose(le, le) <= le:
+                filtered.add(le)
+        built = list(o.o_preorders(k))
+        assert len(built) == len(set(built))  # each preorder once
+        assert set(built) == filtered
+
+    def test_partial_orders_are_oeis_a001035(self):
+        counts = [sum(1 for _ in o.o_partial_orders(m)) for m in range(6)]
+        assert counts == [1, 1, 3, 19, 219, 4231]
+
     @pytest.mark.parametrize("n,idempotent,trivial", [
-        (1, 1, 1), (2, 6, 3), (3, 62, 13), (4, 1123, 87)])
+        (1, 1, 1), (2, 6, 3), (3, 62, 13), (4, 1123, 87), (5, 33052, 841)])
     def test_census_counts_equal_the_closed_forms(self, n, idempotent, trivial):
         assert (o.o_idempotent_count(n), o.o_trivial_count(n)) == (idempotent, trivial)
         r = survey(n)

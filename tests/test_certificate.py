@@ -9,12 +9,14 @@ exactly the expected reason is reported, both by ``survey`` and by
 The census transposes f once through ``census._inverse_rows``, and the law
 squares that transpose through ``census._compose_rows``.  The law tests break
 only that square, so the pipeline and the surjectivity count keep a correct
-transpose of f, and the backtracker's leaf test, which squares rows through
-the same ``_compose_rows``, keeps a correct square.
+transpose of f.  The backtracker's leaf test unites rows in a loop of its own,
+so no fault here reaches it.
+
+The census reads the pipeline's packed result ``(pair, chain1, chain2, rng)``
+directly, so the invalid-witness tests corrupt that tuple.
 """
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -30,17 +32,18 @@ LAW = "squaring does not commute with inversion"
 
 
 def only_on_target(real, fault):
-    """``real`` everywhere except on TARGET, where ``fault`` answers instead."""
-    return lambda f, *rest: fault(f, *rest) if f == TARGET else real(f, *rest)
+    """``real`` everywhere except on TARGET or its rows, where ``fault`` answers instead."""
+    return lambda f, *rest: fault(f, *rest) if f in (TARGET, TARGET.rows) else real(f, *rest)
 
 
 def break_the_square_of_the_transpose(monkeypatch, fault, rows=None):
     """Let ``fault`` edit the law's square of the census's transpose of f.
 
     The square is told apart by the identity of its argument, the list that
-    ``census._inverse_rows`` returned last, not by row values: inverse(TARGET)
-    is itself idempotent, so the leaf test squares equal rows too.  With
-    ``rows`` given, only the transpose of the f with those rows is broken.
+    ``census._inverse_rows`` returned last, not by row values, since equal
+    rows may belong to another relation: inverse(TARGET) is itself
+    idempotent.  With ``rows`` given, only the transpose of the f with those
+    rows is broken.
     """
     real_inverse, real_compose = census._inverse_rows, census._compose_rows
     transpose = []
@@ -89,25 +92,26 @@ def test_a_missed_pattern_breaks_the_equivalence(name, monkeypatch, capsys):
 
 
 def test_a_failing_pipeline_is_reported_with_its_error(monkeypatch, capsys):
-    def fail(f, inv):
+    def fail(rows, inv):
         raise AssertionError("injected")
 
     monkeypatch.setattr(census, "_gamma_pipeline", only_on_target(census._gamma_pipeline, fail))
     assert_flagged(capsys, "gamma pipeline failed: injected", count=1)
 
 
+# each edits the packed result (pair, chain1, chain2, rng) of the pipeline
 @pytest.mark.parametrize("corrupt", [
-    lambda gw: replace(gw, pair=(1, 0)),
-    lambda gw: replace(gw, pair=(0, 0)),
-    lambda gw: replace(gw, pair=(N, 0)),
-    lambda gw: replace(gw, reflexive_stage=replace(gw.reflexive_stage, chain=(0,) * (N + 1))),
-    lambda gw: replace(gw, extension_stage=replace(gw.extension_stage, chain=(0,) * (N + 1))),
+    lambda pair, chain1, chain2, rng: ((1, 0), chain1, chain2, rng),
+    lambda pair, chain1, chain2, rng: ((0, 0), chain1, chain2, rng),
+    lambda pair, chain1, chain2, rng: ((N, 0), chain1, chain2, rng),
+    lambda pair, chain1, chain2, rng: (pair, [0] * (N + 1), chain2, rng),
+    lambda pair, chain1, chain2, rng: (pair, chain1, [0] * (N + 1), rng),
 ], ids=["pair_outside_f", "pair_not_distinct", "pair_outside_carrier",
      "long_reflexive_chain", "long_extension_chain"])
 def test_an_invalid_witness_is_caught_by_the_census_itself(corrupt, monkeypatch, capsys):
     real = census._gamma_pipeline
     monkeypatch.setattr(census, "_gamma_pipeline",
-                        only_on_target(real, lambda f, inv: corrupt(real(f, inv))))
+                        only_on_target(real, lambda rows, inv: corrupt(*real(rows, inv))))
     assert_flagged(capsys, "gamma pipeline returned an invalid witness", count=1)
 
 

@@ -101,6 +101,14 @@ class TestRelationType:
         assert not f.has(0, -1)
         assert not f.has(2, 0)
 
+    @pytest.mark.parametrize("x,y,bad", [(True, 0, "True is a bool"),
+                                         (1, 0.0, "0.0 is a float"),
+                                         (1.0, 0, "1.0 is a float")])
+    def test_membership_rejects_a_point_that_is_not_an_int(self, x, y, bad):
+        f = Relation.from_pairs(2, [(1, 0)])
+        with pytest.raises(ValueError, match=f"^point {bad}, not an int$"):
+            f.has(x, y)
+
     def test_successors_sorted(self, t_relation):
         assert t_relation.successors(2) == (0, 1)
 

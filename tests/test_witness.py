@@ -277,13 +277,19 @@ class TestGammaPipeline:
             if not is_trivial(f):
                 pairs = o.pairs_of(f)
                 inv = Relation.from_pairs(n, o.o_inverse(pairs))
-                got = _gamma_pipeline(f, inv.rows)
-                # pair, both chains with their seeds, and restricted_to
-                assert got == gamma_witness(f)
-                stage1, stage2 = got.reflexive_stage, got.extension_stage
-                assert o.o_chain_faults(n, pairs, stage1.kind, stage1.chain, stage1.result) == []
-                assert o.o_chain_faults(n, o.o_inverse(pairs), stage2.kind, stage2.chain,
-                                        stage2.result) == []
+                pair, chain1, chain2, rng = _gamma_pipeline(f.rows, inv.rows)
+                ref = reference_gamma_witness(f)
+                stage1, stage2 = ref.reflexive_stage, ref.extension_stage
+                assert pair == ref.pair
+                assert (tuple(chain1), tuple(chain2)) == (stage1.chain, stage2.chain)
+                # the extension's seed is the point the pair ends on and its first chain point
+                assert (pair[1], chain2[0]) == stage2.seed == stage1.result
+                assert rng == sum(1 << y for y in {y for _, y in pairs})
+                assert o.o_chain_faults(n, pairs, KIND_REFLEXIVE_PAIR, chain1,
+                                        stage1.result) == []
+                assert o.o_chain_faults(n, o.o_inverse(pairs), KIND_GAMMA_FROM_SEED, chain2,
+                                        (pair[1], pair[0])) == []
+                assert gamma_witness(f) == ref  # the records the public wrapper builds
 
     def test_random_idempotent_samples(self):
         rng = Random(1701)
@@ -376,12 +382,12 @@ class TestChainAssertions:
 
     def test_pipeline_rejects_an_invalid_gamma_pair(self, monkeypatch):
         def bad_extension(rows, rng, x, y):
-            return WitnessChain(KIND_GAMMA_FROM_SEED, (y,), (x, y), (1, 1))
+            return [y], (1, 1)
 
         monkeypatch.setattr("finrel.witness._gamma_from_seed", bad_extension)
         f = gamma_relation()
         with fails_with("pipeline produced an invalid gamma pair (1, 1)"):
-            _gamma_pipeline(f, inverse(f).rows)
+            _gamma_pipeline(f.rows, inverse(f).rows)
 
     def test_validate_rejects_a_wrong_reflexive_pair(self):
         wc = WitnessChain(KIND_REFLEXIVE_PAIR, (), None, (0, 1))
