@@ -27,9 +27,14 @@ idempotence test at the leaf.  A transitive f already has f o f within f, so
 that test only checks that each irreflexive row is the union of the rows of
 its points.  Exhaustive agreement tests at small n pin it to the filter.
 The census is one sequential pass of that backtracker into one tally.
-Mode ``up_to_iso`` runs the same pass, keeps the idempotent relations that
-no relabeling makes smaller, and counts the classes of full relations by
-Burnside's lemma instead of visiting them.
+Mode ``up_to_iso`` runs the same pass and keeps the idempotent relations
+that are their own ``canonical_form``: the least relabeling among those
+that sort the points by an isomorphism invariant, as in the partition
+refinement of McKay and Piperno, "Practical graph isomorphism, II" (J.
+Symbolic Comput. 60, 2014).  So a relation whose keys do not ascend is
+rejected at once, and only permutations within runs of tied keys are
+tried.  The classes of full relations are counted by Burnside's lemma
+instead of visited.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from random import Random
-from typing import Iterator
+from typing import Iterator, Optional, Sequence
 
 from .core import (
     Relation,
@@ -118,17 +123,83 @@ def idempotent_relations(n: int) -> Iterator[Relation]:
     return place(0)
 
 
-def canonical_form(f: Relation) -> Relation:
-    """Least relabeling of f over all carrier permutations.
+def _key_runs(rows: Sequence[int],
+              sorted_only: bool = False) -> Optional[tuple[list[int], tuple[int, ...]]]:
+    """Sort the points of f by an isomorphism invariant, as (order, runs).
 
-    The order is row-wise lexicographic on the packed rows, so equal
-    canonical forms characterise isomorphic relations.  Brute force over
-    n! permutations; fine for the census caps.
+    A point's key is (reflexive bit, |f(x)|, |f^-1(x)|), packed four bits a
+    field into one int (the degrees are at most ``CANONICAL_CAP``); a
+    relabeling carries every key along with its point.  ``order``
+    lists the points by ascending key, ties in point order, and ``runs``
+    the lengths of the runs of equal keys along it.  With ``sorted_only``
+    the answer is None unless the keys already ascend along the points, and
+    the reflexive bits and out-degrees are compared before the transpose
+    is taken, which rejects most relations.
+    """
+    heads, prev = [], 0
+    for x, row in enumerate(rows):
+        head = (row >> x & 1) << 4 | row.bit_count()
+        if sorted_only and head < prev:
+            return None
+        heads.append(head)
+        prev = head
+    keys = [head << 4 | col.bit_count() for head, col in zip(heads, _inverse_rows(rows))]
+    order = sorted(range(len(rows)), key=keys.__getitem__)
+    if sorted_only and order != list(range(len(rows))):
+        return None
+    keys.sort()
+    return order, tuple(len(list(run)) for _, run in itertools.groupby(keys))
+
+
+def _run_permutations(runs: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every permutation that maps each run of points onto itself, the identity first.
+
+    The runs are consecutive: the first ``runs[0]`` points, then the next
+    ``runs[1]``, and so on.
+    """
+    blocks, start = [], 0
+    for length in runs:
+        blocks.append(itertools.permutations(range(start, start + length)))
+        start += length
+    for parts in itertools.product(*blocks):
+        yield sum(parts, ())
+
+
+def canonical_form(f: Relation) -> Relation:
+    """The representative of f's isomorphism class.
+
+    It is the least relabeling of f, row-wise lexicographic on the packed
+    rows, among those that sort the points by the key (reflexive bit,
+    |f(x)|, |f^-1(x)|), so equal canonical forms characterise isomorphic
+    relations.  Only the
+    permutations within runs of equal keys are tried, but when every key
+    ties that is still all n!.
     """
     n = f.n
     if n > CANONICAL_CAP:
         raise ValueError(f"carrier size {n} above the permutation cap {CANONICAL_CAP}")
-    return Relation(n, min(_relabel(f.rows, perm) for perm in itertools.permutations(range(n))))
+    order, runs = _key_runs(f.rows)
+    rank = [0] * n
+    for i, x in enumerate(order):
+        rank[x] = i
+    rows = _relabel(f.rows, rank)
+    return Relation(n, min(_relabel(rows, perm) for perm in _run_permutations(runs)))
+
+
+def _is_canonical(rows: Sequence[int], ties: dict) -> bool:
+    """Whether the relation on ``rows`` is its own ``canonical_form``.
+
+    It is exactly when its keys ascend along the points and no permutation
+    within a run of equal keys makes its rows smaller.  ``ties`` keeps the
+    permutations of each run structure already met.
+    """
+    found = _key_runs(rows, sorted_only=True)
+    if found is None:
+        return False
+    runs = found[1]
+    if runs not in ties:
+        ties[runs] = list(_run_permutations(runs))
+    return all(_relabel(rows, perm) >= rows for perm in ties[runs])
 
 
 def random_full_relation(n: int, rng: Random) -> Relation:
@@ -285,7 +356,8 @@ def survey(n: int, mode: str = "all") -> SurveyReport:
 
     ``mode="all"`` visits all (2^n - 1)^n full relations (capped at n=5);
     ``mode="up_to_iso"`` checks canonical representatives only (also capped
-    at n=5; each idempotent relation pays an n! canonicity test).  One
+    at n=5; ``_is_canonical`` rejects most idempotent relations on their
+    keys, and relabels the rest only within runs of tied keys).  One
     sequential pass of ``idempotent_relations`` feeds one tally.
     """
     if mode not in ("all", "up_to_iso"):
@@ -296,12 +368,12 @@ def survey(n: int, mode: str = "all") -> SurveyReport:
             f"the search space beyond the cap is out of reach"
         )
 
-    # the identity permutation never relabels a relation into a smaller one
-    perms = list(itertools.permutations(range(n)))[1:] if mode == "up_to_iso" else []
+    iso = mode == "up_to_iso"
+    ties: dict = {}  # run lengths -> their permutations, for this call only
     started = time.perf_counter()
     total = _Tally()
     for f in idempotent_relations(n):
-        if all(_relabel(f.rows, perm) >= f.rows for perm in perms):
+        if not iso or _is_canonical(f.rows, ties):
             _check_idempotent(f, total)
     elapsed = time.perf_counter() - started
 

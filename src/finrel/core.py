@@ -193,8 +193,10 @@ def _relabel(rows: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
     out = [0] * len(rows)
     for x, row in enumerate(rows):
         acc = 0
-        for y in iter_bits(row):
-            acc |= 1 << perm[y]
+        while row:
+            low = row & -row
+            acc |= 1 << perm[low.bit_length() - 1]
+            row ^= low
         out[perm[x]] = acc
     return tuple(out)
 
@@ -239,10 +241,13 @@ def nontriviality_witness(f: Relation) -> Optional[tuple[int, int]]:
     if not is_full(f):
         raise PreconditionError("triviality is only defined for full relations")
     rows = f.rows
-    for x in range(f.n):
-        for a in iter_bits(rows[x]):
-            if rows[a] != 1 << a:
+    for x, row in enumerate(rows):
+        while row:
+            low = row & -row
+            a = low.bit_length() - 1
+            if rows[a] != low:  # f(a) != {a}
                 return (x, a)
+            row ^= low
     return None
 
 
@@ -253,12 +258,15 @@ def is_trivial(f: Relation) -> bool:
 def satisfies_gamma(f: Relation) -> Optional[tuple[int, int]]:
     """Least distinct (x, y) with (x,x), (x,y), (y,y) all in f, else None."""
     rows = f.rows
-    for x in range(f.n):
-        row = rows[x]
+    for x, row in enumerate(rows):
         if (row >> x) & 1:
-            for y in iter_bits(row & ~(1 << x)):
-                if (rows[y] >> y) & 1:
+            rest = row & ~(1 << x)
+            while rest:
+                low = rest & -rest
+                y = low.bit_length() - 1
+                if rows[y] & low:  # (y, y) in f
                     return (x, y)
+                rest ^= low
     return None
 
 

@@ -137,6 +137,9 @@ def gamma_from_seed(f: Relation, x: int, y: int) -> WitnessChain:
     earlier chain points, so each step is possible and a reflexive z
     appears within n steps, giving (x,x), (x,z), (z,z) in f.
     """
+    for p in (x, y):
+        if type(p) is not int:
+            raise PreconditionError(f"seed point {p!r} is a {type(p).__name__}, not an int")
     _require(f, "gamma_from_seed", nontrivial=False)
     chain, result = _gamma_from_seed(f.rows, (1 << f.n) - 1, x, y)
     return WitnessChain(KIND_GAMMA_FROM_SEED, tuple(chain), (x, y), result)

@@ -113,6 +113,24 @@ def o_threads(n: int, f: Pairs, m: int) -> set[tuple[int, ...]]:
     return out
 
 
+def o_canonical_rows(n: int, f: Pairs) -> tuple[int, ...]:
+    """The packed rows of f's class representative, over all n! relabelings.
+
+    A relabeling qualifies when its points ascend by the key (reflexive,
+    out-degree, in-degree); the representative is the qualifying one whose
+    rows, each read as the integer sum of 2**y over its successors y, form
+    the least tuple.
+    """
+    forms = []
+    for perm in itertools.permutations(range(n)):
+        g = frozenset((perm[x], perm[y]) for x, y in f)
+        keys = [((x, x) in g, len(o_successors(g, x)), sum(1 for _, y in g if y == x))
+                for x in range(n)]
+        if keys == sorted(keys):
+            forms.append(tuple(sum(2 ** y for y in o_successors(g, x)) for x in range(n)))
+    return min(forms)
+
+
 # the pairs a chain's result (x, y) puts in the relation the chain ran on
 CHAIN_RESULTS = {
     "reflexive_pair": lambda x, y: {(x, x), (y, x)},

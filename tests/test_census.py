@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from dataclasses import replace
 from random import Random
 
@@ -24,7 +25,7 @@ from finrel import (
     satisfies_gamma,
     survey,
 )
-from finrel.census import _full_classes
+from finrel.census import _full_classes, _is_canonical
 from test_io_cli import run_cli
 
 
@@ -111,11 +112,45 @@ class TestCanonicalForm:
             assert canonical_form(f) == canonical_form(apply_permutation(f, perm))
 
     def test_canonical_is_minimal(self):
+        # the least relabeling whose points ascend by (reflexive, |f(x)|, |f^-1(x)|)
         f = Relation.from_pairs(3, [(0, 0), (1, 1), (2, 0), (2, 1)])
         forms = []
         for perm in itertools.permutations(range(3)):
-            forms.append(apply_permutation(f, list(perm)).rows)
-        assert canonical_form(f).rows == min(forms)
+            g = apply_permutation(f, list(perm))
+            keys = [(g.has(x, x), len(g.successors(x)), len(inverse(g).successors(x)))
+                    for x in range(3)]
+            if keys == sorted(keys):
+                forms.append(g.rows)
+        assert canonical_form(f).rows == min(forms) == (6, 2, 4)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_the_oracle_on_every_full_relation(self, n):
+        for f in full_relations(n):
+            assert canonical_form(f).rows == o.o_canonical_rows(n, o.pairs_of(f))
+
+    def test_matches_the_oracle_on_the_four_point_idempotents(self):
+        for f in idempotent_relations(4):
+            assert canonical_form(f).rows == o.o_canonical_rows(4, o.pairs_of(f))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_census_filter_is_canonical_form_fixing_f(self, n):
+        ties = {}
+        accepted = [f for f in full_relations(n) if _is_canonical(f.rows, ties)]
+        assert accepted == [f for f in full_relations(n) if canonical_form(f) == f]
+        assert len(accepted) == _full_classes(n)
+
+    @pytest.mark.parametrize("stream", [
+        lambda: full_relations(3),
+        lambda: idempotent_relations(4),
+    ], ids=["full-3", "idempotent-4"])
+    def test_census_filter_accepts_one_member_per_class(self, stream):
+        ties = {}
+        accepted = Counter()
+        for f in stream():
+            orbit = min(apply_permutation(f, list(perm)).rows
+                        for perm in itertools.permutations(range(f.n)))
+            accepted[orbit] += _is_canonical(f.rows, ties)
+        assert set(accepted.values()) == {1}
 
     def test_cap(self):
         with pytest.raises(ValueError, match="cap"):

@@ -158,6 +158,11 @@ class TestGammaFromSeed:
         with pytest.raises(PreconditionError):
             gamma_from_seed(f, 0, 1)  # (0, 0) missing
 
+    @pytest.mark.parametrize("x,y", [(0.0, 1), (0, 1.0), (0, True)])
+    def test_seed_points_must_be_ints(self, x, y):
+        with pytest.raises(PreconditionError, match=r"^seed point .* is a (float|bool), not an int$"):
+            gamma_from_seed(gamma_relation(), x, y)
+
     def test_seed_pairs_must_be_in_the_relation(self):
         # full and idempotent, so only the seed checks can refuse it
         f = Relation.from_pairs(2, [(0, 1), (1, 1)])
