@@ -27,14 +27,15 @@ idempotence test at the leaf.  A transitive f already has f o f within f, so
 that test only checks that each irreflexive row is the union of the rows of
 its points.  Exhaustive agreement tests at small n pin it to the filter.
 The census is one sequential pass of that backtracker into one tally.
-Mode ``up_to_iso`` runs the same pass and keeps the idempotent relations
-that are their own ``canonical_form``: the least relabeling among those
-that sort the points by an isomorphism invariant, as in the partition
-refinement of McKay and Piperno, "Practical graph isomorphism, II" (J.
-Symbolic Comput. 60, 2014).  So a relation whose keys do not ascend is
-rejected at once, and only permutations within runs of tied keys are
-tried.  The classes of full relations are counted by Burnside's lemma
-instead of visited.
+Mode ``up_to_iso`` runs the same backtracker and keeps the idempotent
+relations that are their own ``canonical_form``: the least relabeling
+among those that sort the points by an isomorphism invariant, as in the
+partition refinement of McKay and Piperno, "Practical graph isomorphism,
+II" (J. Symbolic Comput. 60, 2014).  Placing row x fixes the reflexive bit
+and out-degree of x, so this pass skips each row that makes them descend,
+with its subtree (at n=5, 920 of the 33,052 leaves remain), and tries
+only permutations within runs of tied keys.  The classes of full
+relations are counted by Burnside's lemma instead of visited.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from random import Random
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     Relation,
@@ -86,13 +87,23 @@ def idempotent_relations(n: int) -> Iterator[Relation]:
     contains every placed row x < i whose point x it contains; with no row
     placed, row 0 ranges over every nonempty subset.
     """
+    return _idempotent_relations(n, ascending=False)
+
+
+def _idempotent_relations(n: int, ascending: bool) -> Iterator[Relation]:
+    """``idempotent_relations(n)``, with ``ascending`` only those whose heads ascend.
+
+    Row x fixes the head (reflexive bit, |f(x)|) of point x, so a row whose
+    head is below the previous row's is skipped with its subtree.  ``floor``
+    is the least head the next row may take: 0 skips the test, 1 admits all.
+    """
     if not 1 <= n <= ENUM_CAP:
         raise ValueError(f"carrier size {n} outside 1..{ENUM_CAP}")
     rows = [0] * n
 
-    def place(i: int) -> Iterator[Relation]:
+    def place(i: int, floor: int) -> Iterator[Relation]:
         if i == n:
-            # the pruning made f transitive, so f o f lies within f; f lies
+            # the row tests made f transitive, so f o f lies within f; f lies
             # within f o f when each row x is the union of the rows of its
             # points, which a reflexive row covers with rows[x] itself
             for x, row in enumerate(rows):
@@ -112,41 +123,31 @@ def idempotent_relations(n: int) -> Iterator[Relation]:
                 cap &= rows[x]
         v = cap & -cap
         while v:  # the nonempty submasks of cap, ascending
-            for x in range(i):
-                if (v >> x) & 1 and rows[x] & ~v:
-                    break
-            else:
-                rows[i] = v
-                yield from place(i + 1)
+            head = floor and (v >> i & 1) << 4 | v.bit_count()
+            if head >= floor:
+                for x in range(i):
+                    if (v >> x) & 1 and rows[x] & ~v:
+                        break
+                else:
+                    rows[i] = v
+                    yield from place(i + 1, head)
             v = (v - cap) & cap
 
-    return place(0)
+    return place(0, int(ascending))
 
 
-def _key_runs(rows: Sequence[int],
-              sorted_only: bool = False) -> Optional[tuple[list[int], tuple[int, ...]]]:
+def _key_runs(rows: Sequence[int]) -> tuple[list[int], tuple[int, ...]]:
     """Sort the points of f by an isomorphism invariant, as (order, runs).
 
     A point's key is (reflexive bit, |f(x)|, |f^-1(x)|), packed four bits a
     field into one int (the degrees are at most ``CANONICAL_CAP``); a
     relabeling carries every key along with its point.  ``order``
     lists the points by ascending key, ties in point order, and ``runs``
-    the lengths of the runs of equal keys along it.  With ``sorted_only``
-    the answer is None unless the keys already ascend along the points, and
-    the reflexive bits and out-degrees are compared before the transpose
-    is taken, which rejects most relations.
+    the lengths of the runs of equal keys along it.
     """
-    heads, prev = [], 0
-    for x, row in enumerate(rows):
-        head = (row >> x & 1) << 4 | row.bit_count()
-        if sorted_only and head < prev:
-            return None
-        heads.append(head)
-        prev = head
-    keys = [head << 4 | col.bit_count() for head, col in zip(heads, _inverse_rows(rows))]
+    keys = [(row >> x & 1) << 8 | row.bit_count() << 4 | col.bit_count()
+            for x, (row, col) in enumerate(zip(rows, _inverse_rows(rows)))]
     order = sorted(range(len(rows)), key=keys.__getitem__)
-    if sorted_only and order != list(range(len(rows))):
-        return None
     keys.sort()
     return order, tuple(len(list(run)) for _, run in itertools.groupby(keys))
 
@@ -193,10 +194,9 @@ def _is_canonical(rows: Sequence[int], ties: dict) -> bool:
     within a run of equal keys makes its rows smaller.  ``ties`` keeps the
     permutations of each run structure already met.
     """
-    found = _key_runs(rows, sorted_only=True)
-    if found is None:
+    order, runs = _key_runs(rows)
+    if order != list(range(len(rows))):
         return False
-    runs = found[1]
     if runs not in ties:
         ties[runs] = list(_run_permutations(runs))
     return all(_relabel(rows, perm) >= rows for perm in ties[runs])
@@ -356,9 +356,9 @@ def survey(n: int, mode: str = "all") -> SurveyReport:
 
     ``mode="all"`` visits all (2^n - 1)^n full relations (capped at n=5);
     ``mode="up_to_iso"`` checks canonical representatives only (also capped
-    at n=5; ``_is_canonical`` rejects most idempotent relations on their
-    keys, and relabels the rest only within runs of tied keys).  One
-    sequential pass of ``idempotent_relations`` feeds one tally.
+    at n=5; the backtracker prunes on the (reflexive bit, out-degree) heads
+    while placing rows, and ``_is_canonical`` relabels each leaf only within
+    runs of tied keys).  One sequential pass of the backtracker feeds one tally.
     """
     if mode not in ("all", "up_to_iso"):
         raise ValueError(f"unknown survey mode {mode!r}")
@@ -372,7 +372,7 @@ def survey(n: int, mode: str = "all") -> SurveyReport:
     ties: dict = {}  # run lengths -> their permutations, for this call only
     started = time.perf_counter()
     total = _Tally()
-    for f in idempotent_relations(n):
+    for f in _idempotent_relations(n, ascending=True) if iso else idempotent_relations(n):
         if not iso or _is_canonical(f.rows, ties):
             _check_idempotent(f, total)
     elapsed = time.perf_counter() - started

@@ -25,8 +25,14 @@ from finrel import (
     satisfies_gamma,
     survey,
 )
-from finrel.census import _full_classes, _is_canonical
+from finrel.census import _full_classes, _idempotent_relations, _is_canonical
 from test_io_cli import run_cli
+
+
+def heads_ascend(f):
+    """Whether f's points ascend by (reflexive, out-degree)."""
+    heads = [(f.has(x, x), len(f.successors(x))) for x in range(f.n)]
+    return heads == sorted(heads)
 
 
 class TestFullEnumeration:
@@ -87,6 +93,12 @@ class TestIdempotentEnumeration:
     def test_is_the_filtered_full_stream_in_order(self, n):
         expected = [f for f in full_relations(n) if is_idempotent(f)]
         assert list(idempotent_relations(n)) == expected
+
+    @pytest.mark.parametrize("n,leaves", [(1, 1), (2, 4), (3, 18), (4, 112), (5, 920)])
+    def test_ascending_heads_prune_to_the_filtered_stream_in_order(self, n, leaves):
+        pruned = list(_idempotent_relations(n, ascending=True))
+        assert pruned == [f for f in idempotent_relations(n) if heads_ascend(f)]
+        assert len(pruned) == leaves
 
     def test_cap(self):
         with pytest.raises(ValueError, match="outside"):
@@ -151,6 +163,18 @@ class TestCanonicalForm:
                         for perm in itertools.permutations(range(f.n)))
             accepted[orbit] += _is_canonical(f.rows, ties)
         assert set(accepted.values()) == {1}
+
+    @pytest.mark.parametrize("n,classes", [(4, 80), (5, 485)])
+    def test_census_filter_on_the_pruned_stream_loses_no_class(self, n, classes):
+        ties = {}
+        accepted = Counter()
+        for f in _idempotent_relations(n, ascending=True):
+            orbit = min(apply_permutation(f, list(perm)).rows
+                        for perm in itertools.permutations(range(n)))
+            accepted[orbit] += _is_canonical(f.rows, ties)
+        assert set(accepted.values()) == {1}
+        unpruned = sum(_is_canonical(f.rows, ties) for f in idempotent_relations(n))
+        assert len(accepted) == unpruned == classes
 
     def test_cap(self):
         with pytest.raises(ValueError, match="cap"):
