@@ -8,14 +8,15 @@ assertions, returns a gamma pattern of f, and both of its chains have at
 most n points; trivial surjective relations are the identity; and
 squaring commutes with inversion.  Any violation is recorded as a
 counterexample, so an empty counterexample list over the full scan is the
-certificate the census exists to produce.  The checks transpose f once,
-as packed rows, and that one transpose serves three of them: the witness
-pipeline takes it as the rows of inverse(f); the surjectivity count reads
-it, since f is surjective exactly when every transposed row is nonempty;
-and the law squares it.  The backtracker's leaf test has already shown
-f o f = f, so the inverse of the square is the transpose itself, and the
-law checks that the transpose is idempotent.  That holds exactly when f
-is, so the law also catches a non-idempotent f that reached the checks.
+certificate the census exists to produce.  The backtracker carries the
+transpose of f, as packed rows, along with the rows it places, and that one
+transpose serves three of the checks: the witness pipeline takes it as the
+rows of inverse(f); the surjectivity count reads it, since f is surjective
+exactly when every transposed row is nonempty; and the law squares it.  The
+backtracker's leaf test has already shown f o f = f, so the inverse of the
+square is the transpose itself, and the law checks that the transpose is
+idempotent.  That holds exactly when f is, so the law also catches a
+non-idempotent f that reached the checks.
 The census reads the pipeline's packed tuple (pair, both chains, range
 mask) and re-checks it; only the public ``witness`` functions build records.
 
@@ -65,6 +66,11 @@ ENUM_CAP = 5
 CANONICAL_CAP = 8
 # a broken build flags every relation; keep a sample, count the rest
 COUNTEREXAMPLE_CAP = 100
+# _SPREAD[r] moves bit j of r to bit 8j, so the census can carry a transpose
+# with column y in byte y; a byte holds the n <= ENUM_CAP = 5 <= 8 points
+_SPREAD = [0]
+for _bit in range(8):
+    _SPREAD += [r | 1 << 8 * _bit for r in _SPREAD]
 
 
 def full_relations(n: int) -> Iterator[Relation]:
@@ -87,57 +93,67 @@ def idempotent_relations(n: int) -> Iterator[Relation]:
     contains every placed row x < i whose point x it contains; with no row
     placed, row 0 ranges over every nonempty subset.
     """
-    return _idempotent_relations(n, ascending=False)
+    return (f for f, _ in _idempotent_relations(n, ascending=False))
 
 
-def _idempotent_relations(n: int, ascending: bool) -> Iterator[Relation]:
-    """``idempotent_relations(n)``, with ``ascending`` only those whose heads ascend.
+def _idempotent_relations(n: int, ascending: bool) -> Iterator[tuple[Relation, list[int]]]:
+    """``idempotent_relations(n)`` as pairs (f, the packed rows of inverse(f)).
 
-    Row x fixes the head (reflexive bit, |f(x)|) of point x, so a row whose
-    head is below the previous row's is skipped with its subtree.  ``floor``
-    is the least head the next row may take: 0 skips the test, 1 admits all.
+    With ``ascending`` only those whose heads (reflexive bit, |f(x)|) ascend:
+    row x fixes the head of x, so a row below the last head goes with its
+    subtree.  One loop walks the depths; depth i keeps the cap of row i, the
+    row it tries, its least head (0 skips the test, 1 admits all) and the
+    transpose of rows 0..i-1 (column y in byte y).
     """
     if not 1 <= n <= ENUM_CAP:
         raise ValueError(f"carrier size {n} outside 1..{ENUM_CAP}")
-    rows = [0] * n
 
-    def place(i: int, floor: int) -> Iterator[Relation]:
-        if i == n:
-            # the row tests made f transitive, so f o f lies within f; f lies
-            # within f o f when each row x is the union of the rows of its
-            # points, which a reflexive row covers with rows[x] itself
-            for x, row in enumerate(rows):
-                if not (row >> x) & 1:
-                    acc, rest = 0, row
-                    while rest:
-                        low = rest & -rest
-                        acc |= rows[low.bit_length() - 1]
-                        rest ^= low
-                    if acc != row:
-                        return
-            yield Relation._trusted(n, tuple(rows))
-            return
-        cap = (1 << n) - 1
-        for x in range(i):
-            if (rows[x] >> i) & 1:
-                cap &= rows[x]
-        v = cap & -cap
-        while v:  # the nonempty submasks of cap, ascending
+    def walk(n: int, floor: int) -> Iterator[tuple[Relation, list[int]]]:
+        full, i = (1 << n) - 1, 0
+        rows, caps, floors, packed = [0] * n, [full] * n, [floor] * n, [0] * (n + 1)
+        while i >= 0:
+            # the nonempty submasks of the cap, ascending; a spent depth is left at 0
+            cap, floor = caps[i], floors[i]
+            v = rows[i] = (rows[i] - cap) & cap
+            if not v:
+                i -= 1
+                continue
             head = floor and (v >> i & 1) << 4 | v.bit_count()
-            if head >= floor:
-                for x in range(i):
-                    if (v >> x) & 1 and rows[x] & ~v:
-                        break
+            if head < floor:
+                continue
+            for x in range(i):
+                if (v >> x) & 1 and rows[x] & ~v:
+                    break
+            else:
+                packed[i + 1] = packed[i] | _SPREAD[v] << i
+                if i + 1 < n:
+                    i += 1
+                    floors[i], cap = head, full
+                    for x in range(i):
+                        if (rows[x] >> i) & 1:
+                            cap &= rows[x]
+                    caps[i] = cap
+                    continue
+                # the row tests made f transitive, so f o f lies within f; f
+                # lies within f o f when each row x is the union of the rows of
+                # its points, which a reflexive row covers with rows[x] itself
+                for x, row in enumerate(rows):
+                    if not (row >> x) & 1:
+                        acc, rest = 0, row
+                        while rest:
+                            low = rest & -rest
+                            acc |= rows[low.bit_length() - 1]
+                            rest ^= low
+                        if acc != row:
+                            break
                 else:
-                    rows[i] = v
-                    yield from place(i + 1, head)
-            v = (v - cap) & cap
+                    yield Relation._trusted(n, tuple(rows)), list(packed[n].to_bytes(n, "little"))
 
-    return place(0, int(ascending))
+    return walk(n, int(ascending))
 
 
-def _key_runs(rows: Sequence[int]) -> tuple[list[int], tuple[int, ...]]:
-    """Sort the points of f by an isomorphism invariant, as (order, runs).
+def _key_runs(rows: Sequence[int], inv: Sequence[int]) -> tuple[list[int], tuple[int, ...]]:
+    """Sort the points of f, with transpose ``inv``, by an isomorphism invariant.
 
     A point's key is (reflexive bit, |f(x)|, |f^-1(x)|), packed four bits a
     field into one int (the degrees are at most ``CANONICAL_CAP``); a
@@ -146,7 +162,7 @@ def _key_runs(rows: Sequence[int]) -> tuple[list[int], tuple[int, ...]]:
     the lengths of the runs of equal keys along it.
     """
     keys = [(row >> x & 1) << 8 | row.bit_count() << 4 | col.bit_count()
-            for x, (row, col) in enumerate(zip(rows, _inverse_rows(rows)))]
+            for x, (row, col) in enumerate(zip(rows, inv))]
     order = sorted(range(len(rows)), key=keys.__getitem__)
     keys.sort()
     return order, tuple(len(list(run)) for _, run in itertools.groupby(keys))
@@ -179,7 +195,7 @@ def canonical_form(f: Relation) -> Relation:
     n = f.n
     if n > CANONICAL_CAP:
         raise ValueError(f"carrier size {n} above the permutation cap {CANONICAL_CAP}")
-    order, runs = _key_runs(f.rows)
+    order, runs = _key_runs(f.rows, _inverse_rows(f.rows))
     rank = [0] * n
     for i, x in enumerate(order):
         rank[x] = i
@@ -187,14 +203,14 @@ def canonical_form(f: Relation) -> Relation:
     return Relation(n, min(_relabel(rows, perm) for perm in _run_permutations(runs)))
 
 
-def _is_canonical(rows: Sequence[int], ties: dict) -> bool:
-    """Whether the relation on ``rows`` is its own ``canonical_form``.
+def _is_canonical(rows: Sequence[int], inv: Sequence[int], ties: dict) -> bool:
+    """Whether the relation on ``rows``, with transpose ``inv``, is its own ``canonical_form``.
 
     It is exactly when its keys ascend along the points and no permutation
     within a run of equal keys makes its rows smaller.  ``ties`` keeps the
     permutations of each run structure already met.
     """
-    order, runs = _key_runs(rows)
+    order, runs = _key_runs(rows, inv)
     if order != list(range(len(rows))):
         return False
     if runs not in ties:
@@ -277,8 +293,8 @@ def _flag(tally: _Tally, f: Relation, reason: str) -> None:
         tally.counterexamples.append(doc)
 
 
-def _check_idempotent(f: Relation, tally: _Tally) -> None:
-    """Run every per-relation census check on one idempotent full relation."""
+def _check_idempotent(f: Relation, inv: list[int], tally: _Tally, identity: tuple) -> None:
+    """Run every census check on idempotent full f, whose transpose is ``inv``."""
     tally.idempotent_full += 1
 
     nt = nontriviality_witness(f)
@@ -298,7 +314,6 @@ def _check_idempotent(f: Relation, tally: _Tally) -> None:
         _flag(tally, f, "trivial / gamma / two-point disagreement")
 
     rows, n = f.rows, f.n
-    inv = _inverse_rows(rows)
     if not trivial:
         try:
             pair, chain1, chain2, _ = _gamma_pipeline(rows, inv)
@@ -315,7 +330,7 @@ def _check_idempotent(f: Relation, tally: _Tally) -> None:
     if surjective:
         tally.surjective_idempotent += 1
 
-    ident = all(row == 1 << x for x, row in enumerate(rows))
+    ident = rows == identity
     if ident:
         tally.identity_count += 1
     if trivial and surjective and not ident:
@@ -370,11 +385,12 @@ def survey(n: int, mode: str = "all") -> SurveyReport:
 
     iso = mode == "up_to_iso"
     ties: dict = {}  # run lengths -> their permutations, for this call only
+    identity = tuple(1 << x for x in range(n))
     started = time.perf_counter()
     total = _Tally()
-    for f in _idempotent_relations(n, ascending=True) if iso else idempotent_relations(n):
-        if not iso or _is_canonical(f.rows, ties):
-            _check_idempotent(f, total)
+    for f, inv in _idempotent_relations(n, ascending=iso):
+        if not iso or _is_canonical(f.rows, inv, ties):
+            _check_idempotent(f, inv, total, identity)
     elapsed = time.perf_counter() - started
 
     return SurveyReport(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -32,6 +33,9 @@ SURVEY_CSV_HEADER = (
 )
 
 EXPECT_FLAGS = ("full", "idempotent", "surjective", "single_valued", "trivial", "gamma")
+
+# an optional '-' then ASCII digits; int() alone also reads "_", "+", blanks and other digits
+_INTEGER = "-?[0-9]+"
 
 
 def _load_relation(path: str) -> Relation:
@@ -74,11 +78,9 @@ def _cmd_witness(args) -> int:
     f = _load_relation(args.file)
     seed = None
     if args.seed is not None:
-        try:
-            sx, sy = (int(part) for part in args.seed.split(","))
-        except ValueError:
+        if not re.fullmatch(f"{_INTEGER},{_INTEGER}", args.seed):
             raise RelationParseError(f"--seed wants two integers 'x,y'; got {args.seed!r}")
-        seed = (sx, sy)
+        seed = tuple(map(int, args.seed.split(",")))
     if args.lemma == "1":
         out = asdict(reflexive_pair_witness(f))
     elif args.lemma == "2":
@@ -157,10 +159,9 @@ def _cmd_mahavier(args) -> int:
 
 
 def _parse_points(raw: str) -> list[int]:
-    try:
-        return [int(part) for part in raw.split(",") if part != ""]
-    except ValueError:
+    if not re.fullmatch(f"(({_INTEGER})?,)*({_INTEGER})?", raw):  # empty parts are skipped
         raise RelationParseError(f"--points wants comma-separated integers; got {raw!r}")
+    return [int(part) for part in raw.split(",") if part != ""]
 
 
 def _cmd_op(args) -> int:

@@ -32,6 +32,11 @@ def o_inverse(f: Pairs) -> Pairs:
     return frozenset((y, x) for x, y in f)
 
 
+def o_rows(n: int, f: Pairs) -> list[int]:
+    """The packed rows of a pair set: bit y of row x set when (x, y) is in f."""
+    return [sum(1 << y for y in range(n) if (x, y) in f) for x in range(n)]
+
+
 def o_image(f: Pairs, points) -> set[int]:
     return {y for x, y in f if x in set(points)}
 

@@ -26,6 +26,7 @@ from finrel import (
     survey,
 )
 from finrel.census import _full_classes, _idempotent_relations, _is_canonical
+from finrel.core import _inverse_rows
 from test_io_cli import run_cli
 
 
@@ -96,9 +97,17 @@ class TestIdempotentEnumeration:
 
     @pytest.mark.parametrize("n,leaves", [(1, 1), (2, 4), (3, 18), (4, 112), (5, 920)])
     def test_ascending_heads_prune_to_the_filtered_stream_in_order(self, n, leaves):
-        pruned = list(_idempotent_relations(n, ascending=True))
+        pruned = [f for f, _ in _idempotent_relations(n, ascending=True)]
         assert pruned == [f for f in idempotent_relations(n) if heads_ascend(f)]
         assert len(pruned) == leaves
+
+    @pytest.mark.parametrize("ascending", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_carries_the_transpose_of_each_relation(self, n, ascending):
+        for f, inv in _idempotent_relations(n, ascending):
+            assert type(inv) is list and inv == _inverse_rows(f.rows)
+            if n <= 4:
+                assert inv == o.o_rows(n, o.o_inverse(o.pairs_of(f)))
 
     def test_cap(self):
         with pytest.raises(ValueError, match="outside"):
@@ -147,7 +156,8 @@ class TestCanonicalForm:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_census_filter_is_canonical_form_fixing_f(self, n):
         ties = {}
-        accepted = [f for f in full_relations(n) if _is_canonical(f.rows, ties)]
+        accepted = [f for f in full_relations(n)
+                    if _is_canonical(f.rows, _inverse_rows(f.rows), ties)]
         assert accepted == [f for f in full_relations(n) if canonical_form(f) == f]
         assert len(accepted) == _full_classes(n)
 
@@ -161,19 +171,20 @@ class TestCanonicalForm:
         for f in stream():
             orbit = min(apply_permutation(f, list(perm)).rows
                         for perm in itertools.permutations(range(f.n)))
-            accepted[orbit] += _is_canonical(f.rows, ties)
+            accepted[orbit] += _is_canonical(f.rows, _inverse_rows(f.rows), ties)
         assert set(accepted.values()) == {1}
 
     @pytest.mark.parametrize("n,classes", [(4, 80), (5, 485)])
     def test_census_filter_on_the_pruned_stream_loses_no_class(self, n, classes):
         ties = {}
         accepted = Counter()
-        for f in _idempotent_relations(n, ascending=True):
+        for f, inv in _idempotent_relations(n, ascending=True):
             orbit = min(apply_permutation(f, list(perm)).rows
                         for perm in itertools.permutations(range(n)))
-            accepted[orbit] += _is_canonical(f.rows, ties)
+            accepted[orbit] += _is_canonical(f.rows, inv, ties)
         assert set(accepted.values()) == {1}
-        unpruned = sum(_is_canonical(f.rows, ties) for f in idempotent_relations(n))
+        unpruned = sum(_is_canonical(f.rows, _inverse_rows(f.rows), ties)
+                       for f in idempotent_relations(n))
         assert len(accepted) == unpruned == classes
 
     def test_cap(self):

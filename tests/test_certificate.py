@@ -6,11 +6,13 @@ collaborator that ``finrel.census`` imports, runs the census, and asserts that
 exactly the expected reason is reported, both by ``survey`` and by
 ``finrel survey``, which must then exit 1.
 
-The census transposes f once through ``census._inverse_rows``, and the law
-squares that transpose through ``census._compose_rows``.  The law tests break
-only that square, so the pipeline and the surjectivity count keep a correct
-transpose of f.  The backtracker's leaf test unites rows in a loop of its own,
-so no fault here reaches it.
+The backtracker hands the census each f with its transpose, and the law
+squares that transpose through ``census._compose_rows``, the one call there
+that passes the same list as both arguments.  Most law tests break only that
+square, so the pipeline and the surjectivity count keep a correct transpose
+of f; the others hand the census a transpose of their own, which shows that
+the law reads what the backtracker carries.  The backtracker's leaf test
+unites rows in a loop of its own, so no fault here reaches it.
 
 The census reads the pipeline's packed result ``(pair, chain1, chain2, rng)``
 directly, so the invalid-witness tests corrupt that tuple.
@@ -28,6 +30,14 @@ from test_io_cli import run_cli
 N = 3
 # idempotent, full and nontrivial: (0,0), (0,1), (1,1) is its gamma pattern
 TARGET = Relation.from_pairs(N, [(0, 0), (0, 1), (1, 1), (2, 2)])
+
+
+def oracle_transpose(f):
+    """The packed rows of inverse(f), taken from the pair-set oracle."""
+    return o.o_rows(f.n, o.o_inverse(o.pairs_of(f)))
+
+
+TARGET_TRANSPOSE = oracle_transpose(TARGET)
 LAW = "squaring does not commute with inversion"
 
 
@@ -36,31 +46,39 @@ def only_on_target(real, fault):
     return lambda f, *rest: fault(f, *rest) if f in (TARGET, TARGET.rows) else real(f, *rest)
 
 
-def break_the_square_of_the_transpose(monkeypatch, fault, rows=None):
+def break_the_square_of_the_transpose(monkeypatch, fault, only_target=False):
     """Let ``fault`` edit the law's square of the census's transpose of f.
 
-    The square is told apart by the identity of its argument, the list that
-    ``census._inverse_rows`` returned last, not by row values, since equal
-    rows may belong to another relation: inverse(TARGET) is itself
-    idempotent.  With ``rows`` given, only the transpose of the f with those
-    rows is broken.
+    The square is told apart by its arguments, one list passed twice.  With
+    ``only_target`` only the square of TARGET_TRANSPOSE is broken; a
+    transpose determines its relation, so that is TARGET's alone.
     """
-    real_inverse, real_compose = census._inverse_rows, census._compose_rows
-    transpose = []
-
-    def inverse(frows):
-        out = real_inverse(frows)
-        transpose[:] = [out] if rows is None or frows == rows else []
-        return out
+    real = census._compose_rows
 
     def compose(frows, grows):
-        out = real_compose(frows, grows)
-        if transpose and frows is transpose[0] and grows is transpose[0]:
+        out = real(frows, grows)
+        if frows is grows and (not only_target or frows == TARGET_TRANSPOSE):
             fault(out)
         return out
 
-    monkeypatch.setattr(census, "_inverse_rows", inverse)
     monkeypatch.setattr(census, "_compose_rows", compose)
+
+
+def carry_transposes(monkeypatch, swap=None, extra=()):
+    """Let the backtracker hand over TARGET with ``swap`` as its transpose, if given.
+
+    After its own relations it hands over each of ``extra`` with the
+    oracle's transpose.
+    """
+    real = census._idempotent_relations
+
+    def relations(n, ascending):
+        for f, inv in real(n, ascending):
+            yield f, swap if swap is not None and f == TARGET else inv
+        for f in extra:
+            yield f, oracle_transpose(f)
+
+    monkeypatch.setattr(census, "_idempotent_relations", relations)
 
 
 def drop_lowest_pair(rows):
@@ -117,7 +135,7 @@ def test_an_invalid_witness_is_caught_by_the_census_itself(corrupt, monkeypatch,
 
 def test_a_trivial_surjection_must_be_the_identity(monkeypatch, capsys):
     # TARGET is surjective and not the identity; all three tests call it trivial
-    assert all(census._inverse_rows(TARGET.rows))
+    assert all(TARGET_TRANSPOSE)
     for name in ("nontriviality_witness", "satisfies_gamma", "two_point_witness"):
         monkeypatch.setattr(census, name, only_on_target(getattr(census, name), lambda f: None))
     assert_flagged(capsys, "trivial idempotent surjection differs from the identity", count=1)
@@ -125,7 +143,7 @@ def test_a_trivial_surjection_must_be_the_identity(monkeypatch, capsys):
 
 def test_the_law_compares_both_sides(monkeypatch, capsys):
     # the square of TARGET's transpose loses a pair, so it no longer equals the transpose
-    break_the_square_of_the_transpose(monkeypatch, drop_lowest_pair, TARGET.rows)
+    break_the_square_of_the_transpose(monkeypatch, drop_lowest_pair, only_target=True)
     assert_flagged(capsys, LAW, count=1)
 
 
@@ -135,21 +153,25 @@ def test_the_law_squares_f_instead_of_assuming_f_o_f_is_f(monkeypatch, capsys):
         rows[0] |= missing & -missing
 
     # the square of TARGET's transpose gains a pair: the law squares, it does not assume
-    break_the_square_of_the_transpose(monkeypatch, add_lowest_missing_pair, TARGET.rows)
+    break_the_square_of_the_transpose(monkeypatch, add_lowest_missing_pair, only_target=True)
     assert_flagged(capsys, LAW, count=1)
 
 
+def test_the_law_reads_the_carried_transpose(monkeypatch, capsys):
+    # TARGET arrives with the transpose of TARGET plus (1, 2), which is not idempotent
+    broken = Relation.from_pairs(N, o.pairs_of(TARGET) | {(1, 2)})
+    assert not o.o_is_idempotent(o.pairs_of(broken))
+    carry_transposes(monkeypatch, swap=oracle_transpose(broken))
+    report = assert_flagged(capsys, LAW, count=1)
+    assert Relation.from_pairs(N, report.counterexamples[0]["pairs"]) == TARGET
+
+
 def test_the_law_catches_every_non_idempotent_relation(monkeypatch):
-    real = census.idempotent_relations
     non_idempotent = [f for f in census.full_relations(N) if not o.o_is_idempotent(o.pairs_of(f))]
     assert len(non_idempotent) == 281
 
-    def with_non_idempotent(n):
-        yield from real(n)
-        yield from non_idempotent
-
     # a broken leaf test lets every non-idempotent full relation through
-    monkeypatch.setattr(census, "idempotent_relations", with_non_idempotent)
+    carry_transposes(monkeypatch, extra=non_idempotent)
     monkeypatch.setattr(census, "COUNTEREXAMPLE_CAP", float("inf"))  # keep every report
     report = survey(N)
     flagged = [Relation.from_pairs(doc["n"], doc["pairs"])

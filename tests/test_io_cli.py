@@ -394,6 +394,12 @@ class TestWitnessCommand:
         assert out == ""
         assert err == "finrel: error: seed points out of range\n"
 
+    # int() reads each of these; the seed wants an optional '-' then ASCII digits
+    @pytest.mark.parametrize("seed", ["0,1_0", "\u0663,0", "+0,1", " 0,1", "0,1 ", "0,"])
+    def test_seed_wants_ascii_integers(self, capsys, seed):
+        assert run_cli(capsys, "witness", bundled("gamma"), "--lemma", "2", f"--seed={seed}") == (
+            2, "", f"finrel: error: --seed wants two integers 'x,y'; got {seed!r}\n")
+
 
 class TestSurveyCommand:
     def test_csv_two_points(self, capsys):
@@ -614,6 +620,17 @@ class TestOpCommand:
                                "--points", "1")
         assert code == 0
         assert json.loads(out)["pairs"] == [[1, 1]]
+
+    @pytest.mark.parametrize("points", ["1_0,\u0663", "10,+3", "10, 3", "\uff11"])
+    def test_restrict_wants_ascii_integers(self, tmp_path, capsys, points):
+        # on the identity on 11 points int() would read '1_0,\u0663' as points 10 and 3
+        p = tmp_path / "identity.json"
+        p.write_text(serialize_relation(identity(11), "json"))
+        assert run_cli(capsys, "op", "restrict", str(p), "--points", points) == (
+            2, "", f"finrel: error: --points wants comma-separated integers; got {points!r}\n")
+        code, out, _ = run_cli(capsys, "op", "restrict", str(p), "--points", "10,3,")
+        assert code == 0
+        assert json.loads(out)["pairs"] == [[3, 3], [10, 10]]
 
     def test_restrict_needs_points(self, capsys):
         code, _, err = run_cli(capsys, "op", "restrict", bundled("gamma"))
