@@ -24,9 +24,11 @@ The n=5 space holds 31**5 = 28,629,151 candidates, too many to visit one
 by one in pure Python.  An idempotent relation is transitive, so a
 backtracker places the rows from row 0 on and drops a row as soon as it
 breaks transitivity; at n=5 only 47,262 relations reach the exact
-idempotence test at the leaf.  A transitive f already has f o f within f, so
-that test only checks that each irreflexive row is the union of the rows of
-its points.  Exhaustive agreement tests at small n pin it to the filter.
+idempotence test at the leaf.  Both tests are table lookups: at depth i the
+backtracker keeps the unions of the placed rows over every subset of the
+points 0..i-1, so a candidate row is transitive when the union over its own
+placed points lies within it, and row x of f o f is the union over the
+points of row x.  Exhaustive agreement tests at small n pin it to the filter.
 The census is one sequential pass of that backtracker into one tally.
 Mode ``up_to_iso`` runs the same backtracker and keeps the idempotent
 relations that are their own ``canonical_form``: the least relabeling
@@ -50,6 +52,7 @@ from typing import Iterator, Sequence
 
 from .core import (
     Relation,
+    _BITS,
     _compose_rows,
     _inverse_rows,
     _relabel,
@@ -66,8 +69,9 @@ ENUM_CAP = 5
 CANONICAL_CAP = 8
 # a broken build flags every relation; keep a sample, count the rest
 COUNTEREXAMPLE_CAP = 100
-# _SPREAD[r] moves bit j of r to bit 8j, so the census can carry a transpose
-# with column y in byte y; a byte holds the n <= ENUM_CAP = 5 <= 8 points
+# _SPREAD[r] moves bit j of r < 256 to bit 8j, so the census can carry a
+# transpose with column y in byte y; like core._BITS, it covers rows on up to
+# 8 points, so it serves every n <= CANONICAL_CAP = 8, not only ENUM_CAP = 5
 _SPREAD = [0]
 for _bit in range(8):
     _SPREAD += [r | 1 << 8 * _bit for r in _SPREAD]
@@ -102,8 +106,11 @@ def _idempotent_relations(n: int, ascending: bool) -> Iterator[tuple[Relation, l
     With ``ascending`` only those whose heads (reflexive bit, |f(x)|) ascend:
     row x fixes the head of x, so a row below the last head goes with its
     subtree.  One loop walks the depths; depth i keeps the cap of row i, the
-    row it tries, its least head (0 skips the test, 1 admits all) and the
-    transpose of rows 0..i-1 (column y in byte y).
+    row it tries, its least head (0 skips the test, 1 admits all), the
+    transpose of rows 0..i-1 (column y in byte y) and ``unions[i]``, the
+    2^i unions of rows 0..i-1 indexed by a subset of those points.  The
+    transitivity test and the leaf test read ``unions``, and the cap ANDs
+    the placed rows listed in byte i of the transpose.
     """
     if not 1 <= n <= ENUM_CAP:
         raise ValueError(f"carrier size {n} outside 1..{ENUM_CAP}")
@@ -111,6 +118,7 @@ def _idempotent_relations(n: int, ascending: bool) -> Iterator[tuple[Relation, l
     def walk(n: int, floor: int) -> Iterator[tuple[Relation, list[int]]]:
         full, i = (1 << n) - 1, 0
         rows, caps, floors, packed = [0] * n, [full] * n, [floor] * n, [0] * (n + 1)
+        unions = [[0]] * n
         while i >= 0:
             # the nonempty submasks of the cap, ascending; a spent depth is left at 0
             cap, floor = caps[i], floors[i]
@@ -121,33 +129,24 @@ def _idempotent_relations(n: int, ascending: bool) -> Iterator[tuple[Relation, l
             head = floor and (v >> i & 1) << 4 | v.bit_count()
             if head < floor:
                 continue
-            for x in range(i):
-                if (v >> x) & 1 and rows[x] & ~v:
-                    break
-            else:
-                packed[i + 1] = packed[i] | _SPREAD[v] << i
-                if i + 1 < n:
-                    i += 1
-                    floors[i], cap = head, full
-                    for x in range(i):
-                        if (rows[x] >> i) & 1:
-                            cap &= rows[x]
-                    caps[i] = cap
-                    continue
-                # the row tests made f transitive, so f o f lies within f; f
-                # lies within f o f when each row x is the union of the rows of
-                # its points, which a reflexive row covers with rows[x] itself
-                for x, row in enumerate(rows):
-                    if not (row >> x) & 1:
-                        acc, rest = 0, row
-                        while rest:
-                            low = rest & -rest
-                            acc |= rows[low.bit_length() - 1]
-                            rest ^= low
-                        if acc != row:
-                            break
-                else:
-                    yield Relation._trusted(n, tuple(rows)), list(packed[n].to_bytes(n, "little"))
+            # v must contain the rows of its placed points: their union lies in v
+            u, low = unions[i], (1 << i) - 1
+            if u[v & low] & ~v:
+                continue
+            packed[i + 1] = packed[i] | _SPREAD[v] << i
+            if i + 1 < n:
+                unions[i + 1] = u + [w | v for w in u]
+                i += 1
+                floors[i], cap = head, full
+                for x in _BITS[packed[i] >> 8 * i & 255]:  # the placed rows holding i
+                    cap &= rows[x]
+                caps[i] = cap
+                continue
+            # f o f = f: row x of the square is the union of the rows of its
+            # points, below i from the table, v when x holds point i
+            last = (0, v)
+            if [u[row & low] | last[row >> i] for row in rows] == rows:
+                yield Relation._trusted(n, tuple(rows)), list(packed[n].to_bytes(n, "little"))
 
     return walk(n, int(ascending))
 

@@ -38,6 +38,13 @@ EXPECT_FLAGS = ("full", "idempotent", "surjective", "single_valued", "trivial", 
 _INTEGER = "-?[0-9]+"
 
 
+def _integer(raw: str) -> int:
+    """The argparse type of the integer flags: ``_INTEGER`` only."""
+    if not re.fullmatch(_INTEGER, raw):
+        raise argparse.ArgumentTypeError(f"wants an integer; got {raw!r}")
+    return int(raw)
+
+
 def _load_relation(path: str) -> Relation:
     try:
         text = Path(path).read_text()
@@ -213,10 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("survey", help="exhaustively scan all full relations of a size")
-    p.add_argument("--n", type=int, required=True, help="carrier size")
+    p.add_argument("--n", type=_integer, required=True, help="carrier size")
     p.add_argument("--up-to-iso", action="store_true", dest="up_to_iso",
                    help="count isomorphism classes (canonical representatives) only")
-    p.add_argument("--workers", type=int, default=1, metavar="W",
+    p.add_argument("--workers", type=_integer, default=1, metavar="W",
                    help="kept for compatibility; must be positive, and the census runs in one thread")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--csv", action="store_true", default=True,
@@ -226,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mahavier", help="threads of the inverse limit over a finite chain")
     p.add_argument("file")
-    p.add_argument("--length", type=int, required=True, metavar="M", help="chain length")
+    p.add_argument("--length", type=_integer, required=True, metavar="M", help="chain length")
     p.add_argument("--naive", action="store_true",
                    help="use the brute-force tuple filter instead of propagation")
     p.add_argument("--transpose", action="store_true",

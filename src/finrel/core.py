@@ -5,6 +5,8 @@ bit y of ``rows[x]`` is set exactly when the pair (x, y) belongs to f, so
 ``rows[x]`` encodes the successor set f(x) = {y : (x, y) in f}.  Packing a
 row into one machine word makes composition a handful of bitwise ORs per
 row, which is what keeps the exhaustive n=5 scan in the census feasible.
+The kernels list the points of a row below 256, a row on at most 8 points,
+from the table ``_BITS``, and those of a wider row with ``iter_bits``.
 
 All values are immutable and all operations are pure functions, so
 relations can be shared freely.
@@ -37,6 +39,11 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+# _BITS[r] lists the set bit positions of r < 256, so a row on at most 8
+# points is walked by one lookup; a wider row takes iter_bits
+_BITS = [tuple(iter_bits(r)) for r in range(256)]
 
 
 @dataclass(frozen=True)
@@ -103,10 +110,8 @@ class Relation:
         """All pairs of the relation in lexicographic order."""
         out = []
         for x, row in enumerate(self.rows):
-            while row:
-                low = row & -row
-                out.append((x, low.bit_length() - 1))
-                row ^= low
+            for y in _BITS[row] if row < 256 else iter_bits(row):
+                out.append((x, y))
         return out
 
     def __repr__(self) -> str:
@@ -123,10 +128,8 @@ def _compose_rows(frows: Sequence[int], grows: Sequence[int]) -> list[int]:
     out = []
     for row in frows:
         acc = 0
-        while row:
-            low = row & -row
-            acc |= grows[low.bit_length() - 1]
-            row ^= low
+        for y in _BITS[row] if row < 256 else iter_bits(row):
+            acc |= grows[y]
         out.append(acc)
     return out
 
@@ -136,10 +139,8 @@ def _inverse_rows(rows: Sequence[int]) -> list[int]:
     out = [0] * len(rows)
     bit = 1
     for row in rows:
-        while row:
-            low = row & -row
-            out[low.bit_length() - 1] |= bit
-            row ^= low
+        for y in _BITS[row] if row < 256 else iter_bits(row):
+            out[y] |= bit
         bit <<= 1
     return out
 
@@ -193,10 +194,8 @@ def _relabel(rows: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
     out = [0] * len(rows)
     for x, row in enumerate(rows):
         acc = 0
-        while row:
-            low = row & -row
-            acc |= 1 << perm[low.bit_length() - 1]
-            row ^= low
+        for y in _BITS[row] if row < 256 else iter_bits(row):
+            acc |= 1 << perm[y]
         out[perm[x]] = acc
     return tuple(out)
 
@@ -242,12 +241,9 @@ def nontriviality_witness(f: Relation) -> Optional[tuple[int, int]]:
         raise PreconditionError("triviality is only defined for full relations")
     rows = f.rows
     for x, row in enumerate(rows):
-        while row:
-            low = row & -row
-            a = low.bit_length() - 1
-            if rows[a] != low:  # f(a) != {a}
+        for a in _BITS[row] if row < 256 else iter_bits(row):
+            if rows[a] != 1 << a:  # f(a) != {a}
                 return (x, a)
-            row ^= low
     return None
 
 
@@ -261,12 +257,9 @@ def satisfies_gamma(f: Relation) -> Optional[tuple[int, int]]:
     for x, row in enumerate(rows):
         if (row >> x) & 1:
             rest = row & ~(1 << x)
-            while rest:
-                low = rest & -rest
-                y = low.bit_length() - 1
-                if rows[y] & low:  # (y, y) in f
+            for y in _BITS[rest] if rest < 256 else iter_bits(rest):
+                if (rows[y] >> y) & 1:  # (y, y) in f
                     return (x, y)
-                rest ^= low
     return None
 
 

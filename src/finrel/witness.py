@@ -36,6 +36,7 @@ from typing import Optional, Sequence
 from .core import (
     PreconditionError,
     Relation,
+    _BITS,
     _inverse_rows,
     iter_bits,
     is_full,
@@ -110,22 +111,16 @@ def _reflexive_pair(rows: Sequence[int], rng: int) -> tuple[list[int], tuple[int
     every row (the whole carrier, or range(f)), so f cut to ``rng`` is full,
     idempotent and nontrivial; every least point is taken among its points.
     """
-    rest = rng
-    while rest:
-        low = rest & -rest
-        if not rows[low.bit_length() - 1] & low:
-            chain = _walk(rows, rng, [low.bit_length() - 1])
+    points = _BITS[rng] if rng < 256 else tuple(iter_bits(rng))
+    for x0 in points:
+        if not (rows[x0] >> x0) & 1:
+            chain = _walk(rows, rng, [x0])
             return chain, (chain[-1], chain[-2])
-        rest ^= low
     # identity properly contained: any off-diagonal (a, b) gives y=a, x=b
-    rest = rng
-    while rest:
-        low = rest & -rest
-        a = low.bit_length() - 1
-        off = rows[a] & ~low
+    for a in points:
+        off = rows[a] & ~(1 << a)
         if off:
             return [], ((off & -off).bit_length() - 1, a)
-        rest ^= low
     raise AssertionError("nontrivial relation equal to the identity")
 
 

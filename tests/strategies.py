@@ -36,3 +36,12 @@ def relation_with_permutation(draw, min_n: int = 1, max_n: int = 6):
     rows = tuple(draw(st.integers(0, (1 << n) - 1)) for _ in range(n))
     perm = draw(st.permutations(range(n)))
     return Relation(n, rows), list(perm)
+
+
+@st.composite
+def sparse_full_relations(draw, min_n: int = 1, max_n: int = 6):
+    """Full relations with one or two successors a point, so their idempotent
+    powers are often nontrivial with reflexive and irreflexive points mixed."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(x, draw(st.integers(0, n - 1))) for x in range(n) for _ in range(2)]
+    return Relation.from_pairs(n, pairs)

@@ -13,6 +13,7 @@ from finrel import (
     compose,
     full_relations,
     gamma_relation,
+    idempotent_power,
     idempotent_relations,
     identity,
     image,
@@ -30,8 +31,14 @@ from finrel import (
     serialize_relation,
     two_point_witness,
 )
-from finrel.core import _compose_rows, _inverse_rows
-from strategies import relation_pairs, relation_triples, relation_with_permutation, relations
+from finrel.core import _BITS, _compose_rows, _inverse_rows, iter_bits
+from strategies import (
+    relation_pairs,
+    relation_triples,
+    relation_with_permutation,
+    relations,
+    sparse_full_relations,
+)
 
 
 def full_square(n):
@@ -379,6 +386,50 @@ class TestRowKernels:
     def test_inverse_rows(self, n):
         for f in all_relations(n):
             assert pairs_of_rows(n, _inverse_rows(f.rows)) == o.o_inverse(o.pairs_of(f))
+
+
+class TestRowsPastTheByteTable:
+    """The kernels walk a row below 256 through ``_BITS`` and a wider one, on 9
+    or more points, through ``iter_bits``; on 7-12 points both sides agree with
+    the oracle."""
+
+    def test_byte_table_lists_the_bits_of_every_byte(self):
+        assert len(_BITS) == 256
+        for r in range(256):
+            assert _BITS[r] == tuple(iter_bits(r))
+
+    @given(relation_pairs(min_n=7, max_n=12))
+    @settings(max_examples=60)
+    def test_compose_and_inverse_match_the_oracle(self, fg):
+        f, g = fg
+        fp, gp = o.pairs_of(f), o.pairs_of(g)
+        assert o.pairs_of(compose(f, g)) == o.o_compose(fp, gp)
+        assert o.pairs_of(inverse(f)) == o.o_inverse(fp)
+
+    @given(relation_with_permutation(min_n=7, max_n=12))
+    def test_apply_permutation_matches_the_oracle(self, fp):
+        f, perm = fp
+        want = {(perm[x], perm[y]) for x, y in o.pairs_of(f)}
+        assert o.pairs_of(apply_permutation(f, perm)) == want
+
+    @given(relations(min_n=7, max_n=12))
+    def test_pairs_and_both_forms_round_trip(self, f):
+        assert f.pairs() == sorted(o.pairs_of(f))
+        for form in ("json", "matrix"):
+            assert parse_relation(serialize_relation(f, form)) == f
+
+    @given(sparse_full_relations(min_n=7, max_n=12), relations(min_n=7, max_n=12, full=True))
+    @settings(max_examples=60)
+    def test_predicates_match_the_oracle(self, f, dense):
+        for g in (f, idempotent_power(f), dense):
+            n, pairs = g.n, o.pairs_of(g)
+            assert is_idempotent(g) == o.o_is_idempotent(pairs)
+            assert is_trivial(g) == o.o_is_trivial_literal(n, pairs)
+            assert satisfies_gamma(g) == o.o_gamma(n, pairs)
+            # the least (x, a) in g with g(a) != {a}
+            least = min(((x, a) for x, a in pairs if o.o_successors(pairs, a) != {a}),
+                        default=None)
+            assert nontriviality_witness(g) == least
 
 
 class TestTrustedConstruction:

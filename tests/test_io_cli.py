@@ -499,6 +499,19 @@ class TestSurveyCommand:
         assert out == ""
         assert "workers" in err
 
+    # int() reads each of these; the integer flags want an optional '-' then ASCII digits
+    @pytest.mark.parametrize("n", ["\u0663", "1_0", "+3", " 3", "3 ", "\uff13"])
+    def test_n_wants_ascii_integers(self, capsys, n):
+        code, out, err = run_cli(capsys, "survey", f"--n={n}")
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument --n: wants an integer; got {n!r}\n")
+
+    @pytest.mark.parametrize("workers", ["\u0663", "1_0", "+3", " 3"])
+    def test_workers_wants_ascii_integers(self, capsys, workers):
+        code, out, err = run_cli(capsys, "survey", "--n", "2", f"--workers={workers}")
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument --workers: wants an integer; got {workers!r}\n")
+
     def test_counterexamples_flip_exit_code(self, capsys, monkeypatch):
         import finrel.cli as cli_mod
         real = cli_mod.survey
@@ -562,6 +575,13 @@ class TestMahavierCommand:
         code, _, err = run_cli(capsys, "mahavier", bundled("gamma"), "--length", "0")
         assert code == 2
         assert "positive" in err
+
+    @pytest.mark.parametrize("length", ["1_0", "\u0663", "+3", " 3", "3 "])
+    def test_length_wants_ascii_integers(self, capsys, length):
+        code, out, err = run_cli(capsys, "mahavier", bundled("gamma"), f"--length={length}",
+                                 "--count-only")
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument --length: wants an integer; got {length!r}\n")
 
     def test_count_only_bad_length(self, capsys):
         code, _, err = run_cli(capsys, "mahavier", bundled("gamma"), "--length", "0",

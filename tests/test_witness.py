@@ -11,6 +11,7 @@ from finrel import (
     gamma_relation,
     gamma_witness,
     identity,
+    idempotent_power,
     idempotent_relations,
     inverse,
     is_idempotent,
@@ -312,6 +313,29 @@ class TestGammaPipeline:
             if gw.restricted_to is not None:
                 seen_restricted += 1
         assert seen_restricted > 0  # the restriction branch does occur in the wild
+
+    def test_carriers_past_the_byte_table(self):
+        # idempotent powers of sparse relations on 9-12 points: their ranges
+        # reach past point 7, so the stage-1 point scan leaves the byte table
+        rng = Random(2024)
+        wide = chained = 0
+        for _ in range(300):
+            n = rng.randint(9, 12)
+            f = idempotent_power(
+                Relation.from_pairs(n, [(x, rng.randrange(n)) for x in range(n) for _ in range(2)]))
+            if is_trivial(f):
+                continue
+            gw = gamma_witness(f)
+            pairs = o.pairs_of(f)
+            u, v = gw.pair
+            assert u != v and {(u, u), (u, v), (v, v)} <= pairs
+            assert chain_faults(gw.reflexive_stage, f) == []
+            ext = gw.extension_stage
+            assert o.o_chain_faults(n, o.o_inverse(pairs), ext.kind, ext.chain, ext.result) == []
+            assert gw == reference_gamma_witness(f)
+            wide += max(y for _, y in pairs) >= 8
+            chained += len(gw.reflexive_stage.chain) > 0
+        assert wide > 0 and chained > 0
 
 
 class TestWitnessChainValidate:
