@@ -3,25 +3,16 @@
 Composition, inversion, restriction and the predicate suite (full,
 idempotent, surjective, single-valued, trivial, gamma) over relations on
 {0, ..., n-1}; constructive witness chains turning nontriviality into a
-gamma pattern; an exhaustive census of all full relations up to n=5; and
-generalized inverse limits (Mahavier products) over finite chains.
+gamma pattern; an exhaustive census of all full relations up to n=5, with
+the enumeration of the idempotent ones and canonical forms; and the threads
+of generalized inverse limits (Mahavier products) over finite chains.
 """
 
-from .census import (
-    SurveyReport,
-    canonical_form,
-    full_relations,
-    idempotent_power,
-    idempotent_relations,
-    random_full_relation,
-    random_idempotent,
-    survey,
-)
+from .census import SurveyReport, canonical_form, idempotent_relations, survey
 from .core import (
     PreconditionError,
     PropertyReport,
     Relation,
-    all_relations,
     apply_permutation,
     compose,
     identity,
@@ -39,13 +30,7 @@ from .core import (
     two_point_witness,
 )
 from .io import RelationParseError, parse_relation, serialize_relation
-from .mahavier import (
-    count_threads,
-    gamma_relation,
-    is_coordinatewise_chain,
-    iter_threads,
-    threads_naive,
-)
+from .mahavier import count_threads, gamma_relation, is_coordinatewise_chain, iter_threads
 from .witness import (
     GammaWitness,
     WitnessChain,
@@ -64,17 +49,14 @@ __all__ = [
     "RelationParseError",
     "SurveyReport",
     "WitnessChain",
-    "all_relations",
     "apply_permutation",
     "canonical_form",
     "compose",
     "count_threads",
-    "full_relations",
     "gamma_from_seed",
     "gamma_relation",
     "gamma_witness",
     "identity",
-    "idempotent_power",
     "idempotent_relations",
     "image",
     "inverse",
@@ -88,13 +70,10 @@ __all__ = [
     "nontriviality_witness",
     "parse_relation",
     "properties",
-    "random_full_relation",
-    "random_idempotent",
     "reflexive_pair_witness",
     "restrict",
     "satisfies_gamma",
     "serialize_relation",
     "survey",
-    "threads_naive",
     "two_point_witness",
 ]

@@ -28,7 +28,8 @@ idempotence test at the leaf.  Both tests are table lookups: at depth i the
 backtracker keeps the unions of the placed rows over every subset of the
 points 0..i-1, so a candidate row is transitive when the union over its own
 placed points lies within it, and row x of f o f is the union over the
-points of row x.  Exhaustive agreement tests at small n pin it to the filter.
+points of row x.  Exhaustive agreement tests at small n pin it to an
+idempotence filter over all full relations.
 The census is one sequential pass of that backtracker into one tally.
 Mode ``up_to_iso`` runs the same backtracker and keeps the idempotent
 relations that are their own ``canonical_form``: the least relabeling
@@ -47,7 +48,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from random import Random
 from typing import Iterator, Sequence
 
 from .core import (
@@ -56,8 +56,6 @@ from .core import (
     _compose_rows,
     _inverse_rows,
     _relabel,
-    compose,
-    is_idempotent,
     nontriviality_witness,
     satisfies_gamma,
     two_point_witness,
@@ -77,20 +75,9 @@ for _bit in range(8):
     _SPREAD += [r | 1 << 8 * _bit for r in _SPREAD]
 
 
-def full_relations(n: int) -> Iterator[Relation]:
-    """Every full relation on n points, in odometer order over rows.
-
-    Each row independently ranges over the nonempty subsets 1..2^n-1, row 0
-    most significant, so exactly (2^n - 1)^n relations stream out.
-    """
-    if not 1 <= n <= ENUM_CAP:
-        raise ValueError(f"carrier size {n} outside 1..{ENUM_CAP}")
-    for rows in itertools.product(range(1, 1 << n), repeat=n):
-        yield Relation(n, rows)
-
-
 def idempotent_relations(n: int) -> Iterator[Relation]:
-    """The idempotent subsequence of ``full_relations(n)``, in the same order.
+    """Every idempotent full relation on n points, in odometer order over
+    rows: row 0 most significant, each row over its nonempty subsets ascending.
 
     Idempotent implies transitive: y in f(x) implies f(y) within f(x).  So
     row i lies within every placed row that contains i (``cap``), and
@@ -217,30 +204,6 @@ def _is_canonical(rows: Sequence[int], inv: Sequence[int], ties: dict) -> bool:
     return all(_relabel(rows, perm) >= rows for perm in ties[runs])
 
 
-def random_full_relation(n: int, rng: Random) -> Relation:
-    """Uniform random full relation: each row a uniform nonempty subset."""
-    return Relation(n, tuple(rng.randrange(1, 1 << n) for _ in range(n)))
-
-
-def idempotent_power(f: Relation) -> Relation:
-    """The unique idempotent among the compositional powers of f.
-
-    The powers f, f^2, f^3, ... form a finite cyclic semigroup, which holds
-    exactly one idempotent, so the first idempotent power is the answer.
-    Fullness is preserved, so this doubles as a sampler of idempotent full
-    relations.
-    """
-    g = f
-    while not is_idempotent(g):
-        g = compose(g, f)
-    return g
-
-
-def random_idempotent(n: int, rng: Random) -> Relation:
-    """Random idempotent full relation on n points."""
-    return idempotent_power(random_full_relation(n, rng))
-
-
 @dataclass(frozen=True)
 class SurveyReport:
     """Aggregated result of one exhaustive scan.
@@ -272,8 +235,15 @@ class SurveyReport:
             raise AssertionError("more counterexample reports than counterexamples")
 
 
+# the counts of a report in field order, which is the order of the --json "counts"
+COUNTS = ("full", "idempotent_full", "nontrivial_idempotent", "trivial_idempotent",
+          "gamma_idempotent", "surjective_idempotent", "identity_count")
+
+
 @dataclass
 class _Tally:
+    """The report's fields from ``idempotent_full`` on, as the census counts them."""
+
     idempotent_full: int = 0
     nontrivial_idempotent: int = 0
     trivial_idempotent: int = 0
@@ -392,17 +362,6 @@ def survey(n: int, mode: str = "all") -> SurveyReport:
             _check_idempotent(f, inv, total, identity)
     elapsed = time.perf_counter() - started
 
-    return SurveyReport(
-        n=n,
-        mode=mode,
-        full=((1 << n) - 1) ** n if mode == "all" else _full_classes(n),
-        idempotent_full=total.idempotent_full,
-        nontrivial_idempotent=total.nontrivial_idempotent,
-        trivial_idempotent=total.trivial_idempotent,
-        gamma_idempotent=total.gamma_idempotent,
-        surjective_idempotent=total.surjective_idempotent,
-        identity_count=total.identity_count,
-        counterexamples=tuple(total.counterexamples),
-        counterexample_total=total.counterexample_total,
-        elapsed=elapsed,
-    )
+    full = ((1 << n) - 1) ** n if mode == "all" else _full_classes(n)
+    total.counterexamples = tuple(total.counterexamples)
+    return SurveyReport(n=n, mode=mode, full=full, **vars(total), elapsed=elapsed)

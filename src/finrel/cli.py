@@ -20,10 +20,10 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .census import survey
+from .census import COUNTS, survey
 from .core import Relation, compose, inverse, properties, restrict
 from .io import RelationParseError, parse_relation, serialize_relation
-from .mahavier import count_threads, is_coordinatewise_chain, iter_threads, threads_naive
+from .mahavier import count_threads, is_coordinatewise_chain, iter_threads
 from .witness import gamma_from_seed, gamma_witness, reflexive_pair_witness
 
 SURVEY_CSV_HEADER = (
@@ -111,15 +111,7 @@ def _cmd_survey(args) -> int:
         doc = {
             "n": report.n,
             "mode": report.mode,
-            "counts": {
-                "full": report.full,
-                "idempotent_full": report.idempotent_full,
-                "nontrivial_idempotent": report.nontrivial_idempotent,
-                "trivial_idempotent": report.trivial_idempotent,
-                "gamma_idempotent": report.gamma_idempotent,
-                "surjective_idempotent": report.surjective_idempotent,
-                "identity_count": report.identity_count,
-            },
+            "counts": {name: getattr(report, name) for name in COUNTS},
             "counterexamples": list(report.counterexamples),
         }
         if report.counterexample_total:  # absent on a clean census, to keep its stdout
@@ -139,17 +131,15 @@ def _cmd_mahavier(args) -> int:
     f = _load_relation(args.file)
     if args.transpose:
         f = inverse(f)
-    if args.count_only and not args.naive:
+    if args.count_only:
         # Decimal prints counts past the interpreter's 4300-digit limit on
         # str(int); imported here to keep it out of every start-up
         from decimal import Decimal
 
         print(Decimal(count_threads(f, args.length)))
         return 0
-    threads = threads_naive(f, args.length) if args.naive else iter_threads(f, args.length)
-    if args.count_only:
-        print(len(threads))
-    elif args.json:
+    threads = iter_threads(f, args.length)
+    if args.json:
         threads = tuple(threads)
         doc = {
             "n": f.n,
@@ -234,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mahavier", help="threads of the inverse limit over a finite chain")
     p.add_argument("file")
     p.add_argument("--length", type=_integer, required=True, metavar="M", help="chain length")
-    p.add_argument("--naive", action="store_true",
-                   help="use the brute-force tuple filter instead of propagation")
     p.add_argument("--transpose", action="store_true",
                    help="use the opposite orientation (threads of the inverse)")
     p.add_argument("--count-only", action="store_true", dest="count_only")

@@ -19,7 +19,6 @@ parsers in ``io``, which check every pair or cell before building a row.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -313,9 +312,3 @@ def properties(f: Relation) -> PropertyReport:
         two_point_witness=two_point_witness(f),
         nontriviality_witness=nt,
     )
-
-
-def all_relations(n: int) -> Iterator[Relation]:
-    """Every relation on n points, full or not (2^(n*n) of them)."""
-    for rows in itertools.product(range(1 << n), repeat=n):
-        yield Relation(n, rows)

@@ -7,8 +7,7 @@ transitive f, so for every idempotent f).  The threads are the finite
 analogue of the inverse limit of f over the chain 0 < 1 < ... < m-1.
 
 A thread set is a plain tuple of threads in lexicographic order.
-``threads_naive`` filters all n**m tuples (the reference, capped);
-``iter_threads`` streams the same threads and ``count_threads`` counts them
+``iter_threads`` streams the threads and ``count_threads`` counts them
 without building any.  The engine sums up a prefix by one state, the mask
 of points allowed as its next coordinate.  It starts from all points, and
 placing v leaves the allowed points that map onto v (all pairs) or all
@@ -19,12 +18,11 @@ m+1 of them, totally ordered coordinatewise (``is_coordinatewise_chain``).
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Iterator
 
 from .core import Relation, inverse, iter_bits
 
-NAIVE_TUPLE_CAP = 1 << 20
+MAX_LENGTH = 1 << 20
 
 Thread = tuple[int, ...]
 
@@ -34,34 +32,11 @@ def gamma_relation() -> Relation:
     return Relation(2, (0b11, 0b10))
 
 
-def _thread_ok(f: Relation, tup: Thread, adjacent_only: bool) -> bool:
-    if adjacent_only:
-        return all(f.has(tup[l + 1], tup[l]) for l in range(len(tup) - 1))
-    earlier = 0  # the mask of the coordinates so far; each next one must map onto all of them
-    for x in tup:
-        if f.rows[x] & earlier != earlier:
-            return False
-        earlier |= 1 << x
-    return True
-
-
 def _check_length(m: int) -> None:
     if m < 1:
         raise ValueError("chain length must be positive")
-    if m > NAIVE_TUPLE_CAP:
-        raise ValueError(f"chain length {m} exceeds the cap {NAIVE_TUPLE_CAP}")
-
-
-def threads_naive(f: Relation, m: int, adjacent_only: bool = False) -> tuple[Thread, ...]:
-    """Filter all n**m coordinate tuples by the thread condition, in lex order."""
-    _check_length(m)
-    # with b the cap's bit length, n**m exceeds the cap iff n**min(m, b) does
-    if f.n ** min(m, NAIVE_TUPLE_CAP.bit_length()) > NAIVE_TUPLE_CAP:
-        raise ValueError(f"{f.n}**{m} tuples exceed the brute-force cap {NAIVE_TUPLE_CAP}")
-    return tuple(
-        tup for tup in itertools.product(range(f.n), repeat=m)
-        if _thread_ok(f, tup, adjacent_only)
-    )
+    if m > MAX_LENGTH:
+        raise ValueError(f"chain length {m} exceeds the cap {MAX_LENGTH}")
 
 
 def _moves(f: Relation, m: int, adjacent_only: bool) -> dict[int, list[tuple[int, int]]]:

@@ -105,17 +105,17 @@ def o_all_full_relations(n: int) -> Iterator[Pairs]:
         yield frozenset((x, y) for x, succ in enumerate(choice) for y in succ)
 
 
-def o_threads(n: int, f: Pairs, m: int) -> set[tuple[int, ...]]:
-    """Brute-force thread sets: later coordinates map onto earlier ones."""
-    out = set()
-    for tup in itertools.product(range(n), repeat=m):
-        if all(
-            (tup[later], tup[earlier]) in f
-            for later in range(1, m)
-            for earlier in range(later)
-        ):
-            out.add(tup)
-    return out
+def o_threads(n: int, f: Pairs, m: int, adjacent_only: bool = False) -> set[tuple[int, ...]]:
+    """Thread sets by brute force: each later coordinate maps onto every
+    earlier one, or with ``adjacent_only`` onto the one before.  A tuple is a
+    thread exactly when its prefix one shorter is one too and its last
+    coordinate maps onto the earlier ones, so each length filters the n
+    extensions of every thread one shorter."""
+    threads = {()}
+    for _ in range(m):
+        threads = {t + (x,) for t in threads for x in range(n)
+                   if all((x, e) in f for e in (t[-1:] if adjacent_only else t))}
+    return threads
 
 
 def o_canonical_rows(n: int, f: Pairs) -> tuple[int, ...]:

@@ -1,10 +1,62 @@
-"""Shared hypothesis strategies."""
+"""Shared relation generators: hypothesis strategies, exhaustive
+enumerations and seeded samplers."""
 
 from __future__ import annotations
 
+import itertools
+from random import Random
+from typing import Iterator
+
 from hypothesis import strategies as st
 
-from finrel import Relation
+from finrel import Relation, compose, is_idempotent
+from finrel.census import ENUM_CAP
+
+
+def all_relations(n: int) -> Iterator[Relation]:
+    """Every relation on n points, full or not (2^(n*n) of them)."""
+    for rows in itertools.product(range(1 << n), repeat=n):
+        yield Relation(n, rows)
+
+
+def full_relations(n: int) -> Iterator[Relation]:
+    """Every full relation on n points, in odometer order over rows.
+
+    Each row independently ranges over the nonempty subsets 1..2^n-1, row 0
+    most significant, so exactly (2^n - 1)^n relations stream out.
+    """
+    if not 1 <= n <= ENUM_CAP:
+        raise ValueError(f"carrier size {n} outside 1..{ENUM_CAP}")
+    for rows in itertools.product(range(1, 1 << n), repeat=n):
+        yield Relation(n, rows)
+
+
+def random_full_relation(n: int, rng: Random) -> Relation:
+    """Uniform random full relation: each row a uniform nonempty subset."""
+    return Relation(n, tuple(rng.randrange(1, 1 << n) for _ in range(n)))
+
+
+def idempotent_power(f: Relation) -> Relation:
+    """The unique idempotent among the compositional powers of f.
+
+    The powers f, f^2, f^3, ... form a finite cyclic semigroup, which holds
+    exactly one idempotent, so the first idempotent power is the answer.
+    Fullness is preserved, so this doubles as a sampler of idempotent full
+    relations.  A power that repeats before an idempotent one appears means
+    ``compose`` is broken, and raises instead of looping forever.
+    """
+    g, seen = f, set()
+    while not is_idempotent(g):
+        if g.rows in seen:
+            raise AssertionError(f"the powers of {f.rows} cycle without an idempotent")
+        seen.add(g.rows)
+        g = compose(g, f)
+    return g
+
+
+def random_idempotent(n: int, rng: Random) -> Relation:
+    """Random idempotent full relation on n points."""
+    return idempotent_power(random_full_relation(n, rng))
 
 
 @st.composite

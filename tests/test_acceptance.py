@@ -14,9 +14,7 @@ import pytest
 import oracles as o
 from finrel import (
     Relation,
-    all_relations,
     compose,
-    full_relations,
     gamma_relation,
     gamma_witness,
     idempotent_relations,
@@ -29,12 +27,11 @@ from finrel import (
     is_surjective,
     is_trivial,
     iter_threads,
-    random_idempotent,
     satisfies_gamma,
     survey,
-    threads_naive,
     two_point_witness,
 )
+from strategies import all_relations, full_relations, random_idempotent
 from test_io_cli import bundled, run_cli
 
 
@@ -162,12 +159,15 @@ def test_criterion_6_inverse_limit_finite_shadow():
     compared = 0
     for n in (1, 2, 3):
         for f in full_relations(n):
+            pairs = o.pairs_of(f)
             for m in range(1, 7):
-                assert tuple(iter_threads(f, m)) == threads_naive(f, m)
-                compared += 1
+                for adjacent in (False, True):
+                    expected = tuple(sorted(o.o_threads(n, pairs, m, adjacent)))
+                    assert tuple(iter_threads(f, m, adjacent)) == expected
+                    compared += 1
     print(f"PASS criterion 6: gamma thread count is m+1 and a chain for "
           f"m <= 16; propagation matches brute force on {compared} "
-          f"(relation, length) cases with n <= 3, m <= 6")
+          f"(relation, length, condition) cases with n <= 3, m <= 6")
 
 
 def test_criterion_7_trivial_surjections_are_the_identity():

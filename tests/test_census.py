@@ -1,32 +1,31 @@
 import itertools
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from random import Random
 
 import pytest
 
 import oracles as o
+import strategies
 from finrel import (
     Relation,
+    SurveyReport,
     apply_permutation,
     canonical_form,
     compose,
-    full_relations,
     gamma_relation,
-    idempotent_power,
     idempotent_relations,
     identity,
     inverse,
     is_full,
     is_idempotent,
     is_trivial,
-    random_full_relation,
-    random_idempotent,
     satisfies_gamma,
     survey,
 )
-from finrel.census import _full_classes, _idempotent_relations, _is_canonical
+from finrel.census import COUNTS, _full_classes, _idempotent_relations, _is_canonical
 from finrel.core import _inverse_rows
+from strategies import full_relations, idempotent_power, random_full_relation, random_idempotent
 from test_io_cli import run_cli
 
 
@@ -206,6 +205,14 @@ class TestIdempotentPower:
             g = idempotent_power(random_full_relation(n, rng))
             assert is_idempotent(g) and is_full(g)
 
+    def test_a_power_cycle_without_an_idempotent_raises(self, monkeypatch, swap):
+        # a broken compose that bounces between two relations, neither idempotent
+        other = Relation(2, (0b10, 0b11))
+        assert not is_idempotent(swap) and not is_idempotent(other)
+        monkeypatch.setattr(strategies, "compose", lambda g, f: other if g == swap else swap)
+        with pytest.raises(AssertionError, match="cycle without an idempotent"):
+            idempotent_power(swap)
+
     def test_random_idempotent_sampler(self):
         rng = Random(5)
         for _ in range(200):
@@ -283,6 +290,10 @@ class TestSurvey:
             r = survey(n)
             assert r.gamma_idempotent == r.nontrivial_idempotent
             assert r.counterexamples == ()
+
+    def test_counts_are_the_count_fields_in_order(self):
+        names = [f.name for f in fields(SurveyReport)]
+        assert list(COUNTS) == names[names.index("full"):names.index("counterexamples")]
 
     def test_report_counts_every_reported_counterexample(self):
         r = survey(1)

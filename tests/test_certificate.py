@@ -25,6 +25,7 @@ import pytest
 import finrel.census as census
 import oracles as o
 from finrel import Relation, survey
+from strategies import full_relations
 from test_io_cli import run_cli
 
 N = 3
@@ -167,7 +168,7 @@ def test_the_law_reads_the_carried_transpose(monkeypatch, capsys):
 
 
 def test_the_law_catches_every_non_idempotent_relation(monkeypatch):
-    non_idempotent = [f for f in census.full_relations(N) if not o.o_is_idempotent(o.pairs_of(f))]
+    non_idempotent = [f for f in full_relations(N) if not o.o_is_idempotent(o.pairs_of(f))]
     assert len(non_idempotent) == 281
 
     # a broken leaf test lets every non-idempotent full relation through

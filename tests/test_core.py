@@ -8,12 +8,9 @@ import oracles as o
 from finrel import (
     PreconditionError,
     Relation,
-    all_relations,
     apply_permutation,
     compose,
-    full_relations,
     gamma_relation,
-    idempotent_power,
     idempotent_relations,
     identity,
     image,
@@ -33,6 +30,9 @@ from finrel import (
 )
 from finrel.core import _BITS, _compose_rows, _inverse_rows, iter_bits
 from strategies import (
+    all_relations,
+    full_relations,
+    idempotent_power,
     relation_pairs,
     relation_triples,
     relation_with_permutation,

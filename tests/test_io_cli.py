@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import oracles as o
 from finrel import (
     Relation,
-    all_relations,
     gamma_relation,
     identity,
     inverse,
@@ -27,7 +26,8 @@ from finrel import (
 )
 from finrel.cli import run
 from finrel.io import MAX_CARRIER, RelationParseError
-from strategies import relations
+from finrel.mahavier import MAX_LENGTH
+from strategies import all_relations, relations
 
 
 def bundled(name: str) -> str:
@@ -540,10 +540,10 @@ class TestMahavierCommand:
         assert code == 0
         assert out.splitlines() == ["0 0 0", "1 0 0", "1 1 0", "1 1 1"]
 
-    def test_naive_matches_propagation(self, capsys):
-        _, fast, _ = run_cli(capsys, "mahavier", bundled("gamma"), "--length", "6")
-        _, slow, _ = run_cli(capsys, "mahavier", bundled("gamma"), "--length", "6", "--naive")
-        assert fast == slow
+    def test_naive_is_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "mahavier", bundled("gamma"), "--length", "3", "--naive")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --naive" in err
 
     def test_transpose(self, capsys):
         code, out, _ = run_cli(capsys, "mahavier", bundled("gamma"),
@@ -564,9 +564,8 @@ class TestMahavierCommand:
         for path, n, f in small_documents(tmp_path):
             for m in (1, 2, 3):
                 expected = (0, reference_threads_json(n, f, m), "")
-                for flags in ([], ["--naive"]):
-                    got = run_cli(capsys, "mahavier", path, "--length", str(m), "--json", *flags)
-                    assert got == expected, (path, m, flags)
+                got = run_cli(capsys, "mahavier", path, "--length", str(m), "--json")
+                assert got == expected, (path, m)
                 transposed = (0, reference_threads_json(n, o.o_inverse(f), m), "")
                 got = run_cli(capsys, "mahavier", path, "--length", str(m), "--json", "--transpose")
                 assert got == transposed, (path, m)
@@ -589,7 +588,7 @@ class TestMahavierCommand:
         assert code == 2
         assert "positive" in err
 
-    @pytest.mark.parametrize("flags", [["--count-only"], ["--count-only", "--naive"], []])
+    @pytest.mark.parametrize("flags", [["--count-only"], ["--json"], []])
     def test_length_past_the_cap(self, capsys, flags):
         code, out, err = run_cli(capsys, "mahavier", bundled("gamma"),
                                  "--length", "10000000000", *flags)
@@ -602,11 +601,11 @@ class TestMahavierCommand:
         assert code == 0
         assert out == "501\n"
 
-    def test_naive_count_at_the_length_cap(self, tmp_path, capsys):
+    def test_count_at_the_length_cap(self, tmp_path, capsys):
         one = tmp_path / "one.json"
         one.write_text('{"n": 1, "pairs": [[0, 0]]}')
-        code, out, _ = run_cli(capsys, "mahavier", str(one), "--length", str(1 << 20),
-                               "--count-only", "--naive")
+        code, out, _ = run_cli(capsys, "mahavier", str(one), "--length", str(MAX_LENGTH),
+                               "--count-only")
         assert code == 0
         assert out == "1\n"
 
@@ -744,10 +743,9 @@ def cli_arguments(draw, path, other):
                 + maybe("--form", draw(st.sampled_from(["json", "matrix", "csv"]))))
     else:
         count_only = draw(st.booleans())
-        naive = draw(st.booleans())
-        longest = 600 if count_only and not naive else 6
+        longest = 600 if count_only else 6
         args = ([path, "--length", str(draw(st.integers(-1, longest)))]
-                + (["--count-only"] if count_only else []) + (["--naive"] if naive else [])
+                + (["--count-only"] if count_only else [])
                 + maybe("--transpose") + maybe("--json"))
     return [command] + args + maybe(draw(JUNK))
 

@@ -1,14 +1,13 @@
-from types import SimpleNamespace
+import itertools
+from random import Random
 
 import pytest
 
 import oracles as o
 from finrel import (
     Relation,
-    all_relations,
     compose,
     count_threads,
-    full_relations,
     gamma_relation,
     identity,
     inverse,
@@ -19,9 +18,9 @@ from finrel import (
     is_trivial,
     iter_threads,
     satisfies_gamma,
-    threads_naive,
 )
 from finrel import mahavier
+from strategies import all_relations, full_relations, random_full_relation
 
 
 def full_square(n):
@@ -30,6 +29,11 @@ def full_square(n):
 
 def is_transitive(f):
     return all(sq & ~row == 0 for sq, row in zip(compose(f, f).rows, f.rows))
+
+
+def naive(f, m, adjacent_only=False):
+    """The oracle's threads of f, in lexicographic order."""
+    return tuple(sorted(o.o_threads(f.n, o.pairs_of(f), m, adjacent_only)))
 
 
 class TestGammaRelation:
@@ -44,63 +48,34 @@ class TestGammaRelation:
 
 
 class TestThreadsNaive:
+    """Hand-checked thread sets of the brute-force pair-set oracle."""
+
     @pytest.mark.parametrize("n,m", [(2, 3), (3, 4), (3, 1)])
     def test_identity_gives_constant_tuples(self, n, m):
-        ts = threads_naive(identity(n), m)
-        assert ts == tuple(tuple([x] * m) for x in range(n))
+        assert naive(identity(n), m) == tuple(tuple([x] * m) for x in range(n))
 
     @pytest.mark.parametrize("n,m", [(2, 2), (2, 4), (3, 3)])
     def test_full_square_gives_everything(self, n, m):
-        assert len(threads_naive(full_square(n), m)) == n ** m
+        assert len(naive(full_square(n), m)) == n ** m
 
     def test_gamma_three_steps(self):
-        ts = threads_naive(gamma_relation(), 3)
-        assert ts == ((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1))
+        assert naive(gamma_relation(), 3) == ((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1))
 
     def test_t_two_steps(self, t_relation):
-        ts = threads_naive(t_relation, 2)
-        assert ts == ((0, 0), (0, 2), (1, 1), (1, 2))
-
-    def test_rejects_bad_length(self):
-        with pytest.raises(ValueError, match="positive"):
-            threads_naive(gamma_relation(), 0)
-
-    def test_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            threads_naive(full_square(4), 11)
-
-    def test_cap_decided_without_the_power(self):
-        # 3**(10**9) would take minutes to form as an exact integer
-        with pytest.raises(ValueError, match="cap"):
-            threads_naive(full_square(3), 10 ** 9)
-
-    def test_cap_keeps_its_answer_for_two_or_more_points(self, monkeypatch):
-        # only the cap's decision is under test, so no tuple is generated
-        monkeypatch.setattr(mahavier, "itertools", SimpleNamespace(product=lambda *a, **k: ()))
-        for n in (2, 3, 4, 31, 32, 1024, 1025):
-            for m in range(1, 30):
-                try:
-                    threads_naive(full_square(n), m)
-                    accepted = True
-                except ValueError:
-                    accepted = False
-                assert accepted == (n ** m <= mahavier.NAIVE_TUPLE_CAP), (n, m)
-
-    def test_cap_bounds_the_length_on_one_point(self):
-        with pytest.raises(ValueError, match="length"):
-            threads_naive(identity(1), (1 << 20) + 1)
-
-    def test_longest_chain_on_one_point(self):
-        # one pass per tuple: checking all pairs of 2**20 coordinates would not finish
-        ts = threads_naive(identity(1), mahavier.NAIVE_TUPLE_CAP)
-        assert len(ts) == 1 and ts[0] == (0,) * mahavier.NAIVE_TUPLE_CAP
+        assert naive(t_relation, 2) == ((0, 0), (0, 2), (1, 1), (1, 2))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_oracle(self, n):
+        # the definition filters all n**m tuples; the oracle extends shorter threads
         for f in all_relations(n):
-            pairs = set(f.pairs())
+            pairs = o.pairs_of(f)
             for m in (1, 2, 3):
-                assert threads_naive(f, m) == tuple(sorted(o.o_threads(n, pairs, m)))
+                for adjacent in (False, True):
+                    literal = {t for t in itertools.product(range(n), repeat=m)
+                               if all((t[later], t[earlier]) in pairs
+                                      for later in range(m) for earlier in range(later)
+                                      if not adjacent or earlier == later - 1)}
+                    assert o.o_threads(n, pairs, m, adjacent) == literal
 
 
 class TestThreadsPropagate:
@@ -110,7 +85,7 @@ class TestThreadsPropagate:
             assert len(ts) == m + 1
 
     def test_gamma_ten_steps_against_naive(self):
-        assert tuple(iter_threads(gamma_relation(), 10)) == threads_naive(gamma_relation(), 10)
+        assert tuple(iter_threads(gamma_relation(), 10)) == naive(gamma_relation(), 10)
 
     def test_identity_long_chain_without_blowup(self):
         ts = tuple(iter_threads(identity(3), 50))
@@ -142,20 +117,16 @@ class TestThreadsPropagate:
         for f in all_relations(n):
             for m in (1, 2, 3, 4):
                 for adjacent in (False, True):
-                    naive = threads_naive(f, m, adjacent)
-                    assert tuple(iter_threads(f, m, adjacent)) == naive
-                    assert count_threads(f, m, adjacent) == len(naive)
+                    expected = naive(f, m, adjacent)
+                    assert tuple(iter_threads(f, m, adjacent)) == expected
+                    assert count_threads(f, m, adjacent) == len(expected)
 
     def test_matches_naive_random_four_points(self):
-        from random import Random
-
-        from finrel import random_full_relation
-
         rng = Random(404)
         for _ in range(60):
             f = random_full_relation(4, rng)
             for m in (1, 2, 3, 4, 5):
-                assert tuple(iter_threads(f, m)) == threads_naive(f, m)
+                assert tuple(iter_threads(f, m)) == naive(f, m)
 
     def test_matches_oracle(self, t_relation):
         for f in [gamma_relation(), t_relation, full_square(3), inverse(t_relation)]:
@@ -168,7 +139,7 @@ class TestThreadsPropagate:
         inv = inverse(t_relation)
         ts = tuple(iter_threads(inv, 2))
         assert ts == ((0, 0), (1, 1), (2, 0), (2, 1))
-        assert ts == threads_naive(inv, 2)
+        assert ts == naive(inv, 2)
 
 
 class TestCountThreads:
@@ -184,7 +155,7 @@ class TestCountThreads:
         assert list(iter_threads(order, 2, adjacent)) == [(a, b) for a, b in everything if a <= b]
 
     def test_rejects_length_past_the_cap(self):
-        too_long = mahavier.NAIVE_TUPLE_CAP + 1
+        too_long = mahavier.MAX_LENGTH + 1
         with pytest.raises(ValueError, match="exceeds the cap"):
             count_threads(gamma_relation(), too_long)
         with pytest.raises(ValueError, match="exceeds the cap"):
@@ -201,6 +172,8 @@ class TestCountThreads:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError, match="positive"):
             count_threads(gamma_relation(), 0)
+        with pytest.raises(ValueError, match="positive"):
+            next(iter_threads(gamma_relation(), 0))
 
 
 class TestAdjacentVersusAllPairs:
@@ -226,8 +199,8 @@ class TestAdjacentVersusAllPairs:
         assert allpairs == ()
 
     def test_naive_supports_both(self, swap):
-        assert threads_naive(swap, 3, adjacent_only=True) == ((0, 1, 0), (1, 0, 1))
-        assert threads_naive(swap, 3) == ()
+        assert naive(swap, 3, adjacent_only=True) == ((0, 1, 0), (1, 0, 1))
+        assert naive(swap, 3) == ()
 
 
 class TestProjection:
@@ -281,8 +254,8 @@ class TestOrderProfile:
             assert is_coordinatewise_chain(ts) == naive_chain
 
     def test_takes_threads_in_any_order(self):
-        gamma = threads_naive(gamma_relation(), 4)
+        gamma = naive(gamma_relation(), 4)
         assert is_coordinatewise_chain(reversed(gamma)) is True
         assert is_coordinatewise_chain(iter_threads(gamma_relation(), 4)) is True
-        assert is_coordinatewise_chain(reversed(threads_naive(full_square(2), 2))) is False
+        assert is_coordinatewise_chain(reversed(naive(full_square(2), 2))) is False
         assert is_coordinatewise_chain(()) is True

@@ -11,12 +11,10 @@ from finrel import (
     gamma_relation,
     gamma_witness,
     identity,
-    idempotent_power,
     idempotent_relations,
     inverse,
     is_idempotent,
     is_trivial,
-    random_idempotent,
     reflexive_pair_witness,
     satisfies_gamma,
 )
@@ -29,6 +27,7 @@ from finrel.witness import (
     _gamma_pipeline,
     _reflexive_pair,
 )
+from strategies import idempotent_power, random_idempotent
 
 
 def full_square(n):
