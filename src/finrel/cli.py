@@ -226,8 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=_integer, required=True, metavar="M", help="chain length")
     p.add_argument("--transpose", action="store_true",
                    help="use the opposite orientation (threads of the inverse)")
-    p.add_argument("--count-only", action="store_true", dest="count_only")
-    p.add_argument("--json", action="store_true")
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--count-only", action="store_true", dest="count_only")
+    out.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_mahavier)
 
     p = sub.add_parser("op", help="apply one algebra operation to relation files")

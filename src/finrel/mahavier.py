@@ -11,7 +11,9 @@ A thread set is a plain tuple of threads in lexicographic order.
 without building any.  The engine sums up a prefix by one state, the mask
 of points allowed as its next coordinate.  It starts from all points, and
 placing v leaves the allowed points that map onto v (all pairs) or all
-points that map onto v (adjacent).  The threads of the canonical gamma
+points that map onto v (adjacent).  States are numbered in the order first
+found, the start 0, one round per coordinate, and discovery stops at the
+first round that finds no new state.  The threads of the canonical gamma
 relation on two points are the indicator tuples of down-sets of the chain:
 m+1 of them, totally ordered coordinatewise (``is_coordinatewise_chain``).
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .core import Relation, inverse, iter_bits
+from .core import _BITS, Relation, inverse, iter_bits
 
 MAX_LENGTH = 1 << 20
 
@@ -39,20 +41,27 @@ def _check_length(m: int) -> None:
         raise ValueError(f"chain length {m} exceeds the cap {MAX_LENGTH}")
 
 
-def _moves(f: Relation, m: int, adjacent_only: bool) -> dict[int, list[tuple[int, int]]]:
-    """The moves (v, next state) of every state a prefix shorter than m reaches;
-    states first reached at length m get none, as no prefix there goes on."""
+def _moves(f: Relation, m: int, adjacent_only: bool) -> list[list[tuple[int, int]]]:
+    """The moves (v, index of the next state) of every state, by index; a state
+    first reached at length m gets none, as no prefix there goes on."""
     inv = inverse(f).rows
-    moves: dict[int, list[tuple[int, int]]] = {}
-    fresh = {(1 << f.n) - 1}
+    states = [(1 << f.n) - 1]
+    index = {states[0]: 0}
+    moves: list[list[tuple[int, int]]] = []
     for _ in range(m):
-        for allowed in fresh:
-            moves[allowed] = [
-                (v, inv[v] if adjacent_only else allowed & inv[v]) for v in iter_bits(allowed)
-            ]
-        fresh = {nxt for s in fresh for _, nxt in moves[s]} - moves.keys()
-    moves.update((s, []) for s in fresh)
-    return moves
+        if len(moves) == len(states):
+            return moves
+        for allowed in states[len(moves):]:
+            out = []
+            for v in _BITS[allowed] if allowed < 256 else iter_bits(allowed):
+                nxt = inv[v] if adjacent_only else allowed & inv[v]
+                s = index.get(nxt)
+                if s is None:
+                    s = index[nxt] = len(states)
+                    states.append(nxt)
+                out.append((v, s))
+            moves.append(out)
+    return moves + [[] for _ in states[len(moves):]]
 
 
 def iter_threads(f: Relation, m: int, adjacent_only: bool = False) -> Iterator[Thread]:
@@ -63,22 +72,23 @@ def iter_threads(f: Relation, m: int, adjacent_only: bool = False) -> Iterator[T
     """
     _check_length(m)
     moves = _moves(f, m, adjacent_only)
-    # tails: the most coordinates each state can still take, for those that
-    # cannot take m; alive: the states that can take r more
-    alive, tails = set(moves), {}
+    # tails: the most coordinates each state can still take, m for those that
+    # can take m; round r finds the states that can take r but not r + 1
+    tails = [m] * len(moves)
     for r in range(m):
-        kept = {s for s in alive if any(nxt in alive for _, nxt in moves[s])}
-        if kept == alive:
+        dead = [s for s, out in enumerate(moves)
+                if tails[s] == m and all(tails[nxt] < m for _, nxt in out)]
+        if not dead:
             break
-        tails.update(dict.fromkeys(alive - kept, r))
-        alive = kept
+        for s in dead:
+            tails[s] = r
     prefix: list[int] = []
-    stack = [iter(moves[(1 << f.n) - 1])]
+    stack = [iter(moves[0])]
     while stack:
         del prefix[len(stack) - 1:]  # the top iterator chooses the next coordinate
         left = m - len(stack)  # coordinates that must follow it
         for v, nxt in stack[-1]:
-            if tails.get(nxt, m) >= left:
+            if tails[nxt] >= left:
                 break
         else:
             stack.pop()
@@ -94,14 +104,15 @@ def count_threads(f: Relation, m: int, adjacent_only: bool = False) -> int:
     """The number of threads, by m forward steps of exact prefix counts per state."""
     _check_length(m)
     moves = _moves(f, m, adjacent_only)
-    counts = {(1 << f.n) - 1: 1}
+    counts = [1] + [0] * (len(moves) - 1)
     for _ in range(m):
-        ahead: dict[int, int] = {}
-        for allowed, count in counts.items():
-            for _, nxt in moves[allowed]:
-                ahead[nxt] = ahead.get(nxt, 0) + count
+        ahead = [0] * len(moves)
+        for s, count in enumerate(counts):
+            if count:
+                for _, nxt in moves[s]:
+                    ahead[nxt] += count
         counts = ahead
-    return sum(counts.values())
+    return sum(counts)
 
 
 def is_coordinatewise_chain(threads: Iterable[Thread]) -> bool:

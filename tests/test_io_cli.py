@@ -74,6 +74,15 @@ class TestParse:
         with pytest.raises(RelationParseError, match="field 'n'.*exceeds"):
             parse_relation('{"n": %d, "pairs": []}' % (MAX_CARRIER + 1))
 
+    def test_carrier_limit_bounds_the_rows(self):
+        # the anti-diagonal's row x has bit n-1-x, so a short document makes
+        # rows of about n*n/2 bits in all
+        n = MAX_CARRIER
+        text = json.dumps({"n": n, "pairs": [[x, n - 1 - x] for x in range(n)]})
+        f = parse_relation(text)
+        assert f.rows[0] == 1 << (n - 1)
+        assert len(text) < 100_000 and sum(map(sys.getsizeof, f.rows)) < 2_000_000
+
     def test_rejects_bad_pairs(self):
         with pytest.raises(RelationParseError, match=r"pairs\[1\].*out of range"):
             parse_relation('{"n":2,"pairs":[[0,0],[0,7]]}')
@@ -544,6 +553,12 @@ class TestMahavierCommand:
         code, out, err = run_cli(capsys, "mahavier", bundled("gamma"), "--length", "3", "--naive")
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --naive" in err
+
+    def test_count_only_excludes_json(self, capsys):
+        code, out, err = run_cli(capsys, "mahavier", bundled("gamma"), "--length", "3",
+                                 "--count-only", "--json")
+        assert (code, out) == (2, "")
+        assert "argument --json: not allowed with argument --count-only" in err
 
     def test_transpose(self, capsys):
         code, out, _ = run_cli(capsys, "mahavier", bundled("gamma"),

@@ -176,6 +176,39 @@ class TestCountThreads:
             next(iter_threads(gamma_relation(), 0))
 
 
+class TestIndexedStates:
+    """The numbered state graph of ``mahavier._moves`` and its two walks."""
+
+    @pytest.mark.parametrize("adjacent", [False, True])
+    def test_wide_masks_match_the_oracle(self, adjacent):
+        # on 9-12 points the states pass 255, past the byte table
+        rng = Random(919)
+        for _ in range(12):
+            n, density = rng.randint(9, 12), rng.choice([0.3, 0.6, 0.9])
+            f = Relation.from_pairs(n, [(x, y) for x in range(n) for y in range(n)
+                                        if rng.random() < density])
+            for m in (2, 3, 4):
+                expected = naive(f, m, adjacent)
+                assert count_threads(f, m, adjacent) == len(expected)
+                assert tuple(iter_threads(f, m, adjacent)) == expected
+
+    @pytest.mark.parametrize("adjacent", [False, True])
+    def test_discovery_stops_at_closure(self, adjacent):
+        for f in (gamma_relation(), identity(1)):
+            graph = mahavier._moves(f, mahavier.MAX_LENGTH, adjacent)
+            assert graph == mahavier._moves(f, 3, adjacent)
+            assert graph[0] and all(graph)
+
+    def test_only_states_within_the_length_get_moves(self):
+        # at length 1 the start of the 30-point linear order reaches the 30
+        # up-sets {v, ..., 29}, itself among them, and nothing goes on from them
+        order = Relation(30, tuple((1 << (x + 1)) - 1 for x in range(30)))
+        graph = mahavier._moves(order, 1, False)
+        assert len(graph) == 30
+        assert [len(out) for out in graph] == [30] + [0] * 29
+        assert count_threads(order, 1) == 30
+
+
 class TestAdjacentVersusAllPairs:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_coincide_for_idempotent(self, n):
