@@ -3,20 +3,19 @@
 Composition, inversion, restriction and the predicate suite (full,
 idempotent, surjective, single-valued, trivial, gamma) over relations on
 {0, ..., n-1}; constructive witness chains turning nontriviality into a
-gamma pattern; an exhaustive census of all full relations up to n=5, with
-the enumeration of the idempotent ones and canonical forms; and the threads
-of generalized inverse limits (Mahavier products) over finite chains.
+gamma pattern; an exhaustive census of all full relations up to n=5, which
+certifies the equivalences on every idempotent one, or on one per
+isomorphism class; and the threads of generalized inverse limits (Mahavier
+products) over finite chains.
 """
 
-from .census import SurveyReport, canonical_form, idempotent_relations, survey
+from .census import SurveyReport, survey
 from .core import (
     PreconditionError,
     PropertyReport,
     Relation,
-    apply_permutation,
     compose,
     identity,
-    image,
     inverse,
     is_full,
     is_idempotent,
@@ -49,16 +48,12 @@ __all__ = [
     "RelationParseError",
     "SurveyReport",
     "WitnessChain",
-    "apply_permutation",
-    "canonical_form",
     "compose",
     "count_threads",
     "gamma_from_seed",
     "gamma_relation",
     "gamma_witness",
     "identity",
-    "idempotent_relations",
-    "image",
     "inverse",
     "is_coordinatewise_chain",
     "is_full",

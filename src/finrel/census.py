@@ -32,9 +32,9 @@ points of row x.  Exhaustive agreement tests at small n pin it to an
 idempotence filter over all full relations.
 The census is one sequential pass of that backtracker into one tally.
 Mode ``up_to_iso`` runs the same backtracker and keeps the idempotent
-relations that are their own ``canonical_form``: the least relabeling
-among those that sort the points by an isomorphism invariant, as in the
-partition refinement of McKay and Piperno, "Practical graph isomorphism,
+relations that represent their class (``_is_canonical``): the least
+relabeling among those that sort the points by an isomorphism invariant, as
+in the partition refinement of McKay and Piperno, "Practical graph isomorphism,
 II" (J. Symbolic Comput. 60, 2014).  Placing row x fixes the reflexive bit
 and out-degree of x, so this pass skips each row that makes them descend,
 with its subtree (at n=5, 920 of the 33,052 leaves remain), and tries
@@ -54,7 +54,6 @@ from .core import (
     Relation,
     _BITS,
     _compose_rows,
-    _inverse_rows,
     _relabel,
     nontriviality_witness,
     satisfies_gamma,
@@ -64,32 +63,25 @@ from .io import relation_to_document
 from .witness import _gamma_pipeline
 
 ENUM_CAP = 5
-CANONICAL_CAP = 8
 # a broken build flags every relation; keep a sample, count the rest
 COUNTEREXAMPLE_CAP = 100
 # _SPREAD[r] moves bit j of r < 256 to bit 8j, so the census can carry a
 # transpose with column y in byte y; like core._BITS, it covers rows on up to
-# 8 points, so it serves every n <= CANONICAL_CAP = 8, not only ENUM_CAP = 5
+# 8 points, so it serves every n <= 8, not only ENUM_CAP = 5
 _SPREAD = [0]
 for _bit in range(8):
     _SPREAD += [r | 1 << 8 * _bit for r in _SPREAD]
 
 
-def idempotent_relations(n: int) -> Iterator[Relation]:
-    """Every idempotent full relation on n points, in odometer order over
-    rows: row 0 most significant, each row over its nonempty subsets ascending.
+def _idempotent_relations(n: int, ascending: bool) -> Iterator[tuple[Relation, list[int]]]:
+    """Every idempotent full relation f on n points, with the packed rows of
+    inverse(f), in odometer order over rows: row 0 most significant, each row
+    over its nonempty subsets ascending.
 
     Idempotent implies transitive: y in f(x) implies f(y) within f(x).  So
     row i lies within every placed row that contains i (``cap``), and
     contains every placed row x < i whose point x it contains; with no row
     placed, row 0 ranges over every nonempty subset.
-    """
-    return (f for f, _ in _idempotent_relations(n, ascending=False))
-
-
-def _idempotent_relations(n: int, ascending: bool) -> Iterator[tuple[Relation, list[int]]]:
-    """``idempotent_relations(n)`` as pairs (f, the packed rows of inverse(f)).
-
     With ``ascending`` only those whose heads (reflexive bit, |f(x)|) ascend:
     row x fixes the head of x, so a row below the last head goes with its
     subtree.  One loop walks the depths; depth i keeps the cap of row i, the
@@ -97,55 +89,50 @@ def _idempotent_relations(n: int, ascending: bool) -> Iterator[tuple[Relation, l
     transpose of rows 0..i-1 (column y in byte y) and ``unions[i]``, the
     2^i unions of rows 0..i-1 indexed by a subset of those points.  The
     transitivity test and the leaf test read ``unions``, and the cap ANDs
-    the placed rows listed in byte i of the transpose.
+    the placed rows listed in byte i of the transpose.  ``survey`` checks
+    that n lies in 1..ENUM_CAP.
     """
-    if not 1 <= n <= ENUM_CAP:
-        raise ValueError(f"carrier size {n} outside 1..{ENUM_CAP}")
-
-    def walk(n: int, floor: int) -> Iterator[tuple[Relation, list[int]]]:
-        full, i = (1 << n) - 1, 0
-        rows, caps, floors, packed = [0] * n, [full] * n, [floor] * n, [0] * (n + 1)
-        unions = [[0]] * n
-        while i >= 0:
-            # the nonempty submasks of the cap, ascending; a spent depth is left at 0
-            cap, floor = caps[i], floors[i]
-            v = rows[i] = (rows[i] - cap) & cap
-            if not v:
-                i -= 1
-                continue
-            head = floor and (v >> i & 1) << 4 | v.bit_count()
-            if head < floor:
-                continue
-            # v must contain the rows of its placed points: their union lies in v
-            u, low = unions[i], (1 << i) - 1
-            if u[v & low] & ~v:
-                continue
-            packed[i + 1] = packed[i] | _SPREAD[v] << i
-            if i + 1 < n:
-                unions[i + 1] = u + [w | v for w in u]
-                i += 1
-                floors[i], cap = head, full
-                for x in _BITS[packed[i] >> 8 * i & 255]:  # the placed rows holding i
-                    cap &= rows[x]
-                caps[i] = cap
-                continue
-            # f o f = f: row x of the square is the union of the rows of its
-            # points, below i from the table, v when x holds point i
-            last = (0, v)
-            if [u[row & low] | last[row >> i] for row in rows] == rows:
-                yield Relation._trusted(n, tuple(rows)), list(packed[n].to_bytes(n, "little"))
-
-    return walk(n, int(ascending))
+    full, i, floor = (1 << n) - 1, 0, int(ascending)
+    rows, caps, floors, packed = [0] * n, [full] * n, [floor] * n, [0] * (n + 1)
+    unions = [[0]] * n
+    while i >= 0:
+        # the nonempty submasks of the cap, ascending; a spent depth is left at 0
+        cap, floor = caps[i], floors[i]
+        v = rows[i] = (rows[i] - cap) & cap
+        if not v:
+            i -= 1
+            continue
+        head = floor and (v >> i & 1) << 4 | v.bit_count()
+        if head < floor:
+            continue
+        # v must contain the rows of its placed points: their union lies in v
+        u, low = unions[i], (1 << i) - 1
+        if u[v & low] & ~v:
+            continue
+        packed[i + 1] = packed[i] | _SPREAD[v] << i
+        if i + 1 < n:
+            unions[i + 1] = u + [w | v for w in u]
+            i += 1
+            floors[i], cap = head, full
+            for x in _BITS[packed[i] >> 8 * i & 255]:  # the placed rows holding i
+                cap &= rows[x]
+            caps[i] = cap
+            continue
+        # f o f = f: row x of the square is the union of the rows of its
+        # points, below i from the table, v when x holds point i
+        last = (0, v)
+        if [u[row & low] | last[row >> i] for row in rows] == rows:
+            yield Relation._trusted(n, tuple(rows)), list(packed[n].to_bytes(n, "little"))
 
 
 def _key_runs(rows: Sequence[int], inv: Sequence[int]) -> tuple[list[int], tuple[int, ...]]:
     """Sort the points of f, with transpose ``inv``, by an isomorphism invariant.
 
     A point's key is (reflexive bit, |f(x)|, |f^-1(x)|), packed four bits a
-    field into one int (the degrees are at most ``CANONICAL_CAP``); a
-    relabeling carries every key along with its point.  ``order``
-    lists the points by ascending key, ties in point order, and ``runs``
-    the lengths of the runs of equal keys along it.
+    field into one int, which holds the degrees on up to 8 points, the
+    reach of the byte tables; a relabeling carries every key along with its
+    point.  ``order`` lists the points by ascending key, ties in point order,
+    and ``runs`` the lengths of the runs of equal keys along it.
     """
     keys = [(row >> x & 1) << 8 | row.bit_count() << 4 | col.bit_count()
             for x, (row, col) in enumerate(zip(rows, inv))]
@@ -168,33 +155,15 @@ def _run_permutations(runs: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         yield sum(parts, ())
 
 
-def canonical_form(f: Relation) -> Relation:
-    """The representative of f's isomorphism class.
-
-    It is the least relabeling of f, row-wise lexicographic on the packed
-    rows, among those that sort the points by the key (reflexive bit,
-    |f(x)|, |f^-1(x)|), so equal canonical forms characterise isomorphic
-    relations.  Only the
-    permutations within runs of equal keys are tried, but when every key
-    ties that is still all n!.
-    """
-    n = f.n
-    if n > CANONICAL_CAP:
-        raise ValueError(f"carrier size {n} above the permutation cap {CANONICAL_CAP}")
-    order, runs = _key_runs(f.rows, _inverse_rows(f.rows))
-    rank = [0] * n
-    for i, x in enumerate(order):
-        rank[x] = i
-    rows = _relabel(f.rows, rank)
-    return Relation(n, min(_relabel(rows, perm) for perm in _run_permutations(runs)))
-
-
 def _is_canonical(rows: Sequence[int], inv: Sequence[int], ties: dict) -> bool:
-    """Whether the relation on ``rows``, with transpose ``inv``, is its own ``canonical_form``.
+    """Whether the relation on ``rows``, with transpose ``inv``, represents its class.
 
-    It is exactly when its keys ascend along the points and no permutation
-    within a run of equal keys makes its rows smaller.  ``ties`` keeps the
-    permutations of each run structure already met.
+    The representative is the least relabeling, row-wise lexicographic on the
+    packed rows, among those that sort the points by the key (reflexive bit,
+    |f(x)|, |f^-1(x)|).  A relation is it exactly when its keys ascend along
+    the points and no permutation within a run of equal keys makes its rows
+    smaller.  ``ties`` keeps the permutations of each run structure already
+    met.
     """
     order, runs = _key_runs(rows, inv)
     if order != list(range(len(rows))):

@@ -63,14 +63,13 @@ def _parse_expect(raw: str) -> tuple[str, bool]:
 
 
 def _cmd_check(args) -> int:
-    f = _load_relation(args.file)
-    report = properties(f)
+    expected = [_parse_expect(raw) for raw in args.expect or ()]  # a usage error prints no report
+    report = properties(_load_relation(args.file))
     # the record's fields as declared, with gamma_witness printed as gamma
     doc = {"gamma" if k == "gamma_witness" else k: v for k, v in asdict(report).items()}
     print(json.dumps(doc, indent=2))
     failures = []
-    for raw in args.expect or ():
-        name, wanted = _parse_expect(raw)
+    for name, wanted in expected:
         actual = report.gamma if name == "gamma" else getattr(report, name)
         if actual is not wanted:
             failures.append(f"expected {name}={str(wanted).lower()}, got {json.dumps(actual)}")
@@ -82,6 +81,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    if args.seed is not None and args.lemma != "2":
+        raise RelationParseError(f"--seed applies only to --lemma 2, not --lemma {args.lemma}")
     f = _load_relation(args.file)
     seed = None
     if args.seed is not None:
@@ -162,6 +163,8 @@ def _parse_points(raw: str) -> list[int]:
 
 
 def _cmd_op(args) -> int:
+    if args.points is not None and args.operation != "restrict":
+        raise RelationParseError(f"--points applies only to op restrict, not op {args.operation}")
     if args.operation == "compose":
         if len(args.files) != 2:
             raise RelationParseError("op compose needs exactly two relation files")

@@ -101,10 +101,6 @@ class Relation:
                 raise ValueError(f"point {p!r} is a {type(p).__name__}, not an int")
         return 0 <= x < self.n and 0 <= y < self.n and (self.rows[x] >> y) & 1 == 1
 
-    def successors(self, x: int) -> tuple[int, ...]:
-        """The sorted successor set f(x)."""
-        return tuple(iter_bits(self.rows[x]))
-
     def pairs(self) -> list[tuple[int, int]]:
         """All pairs of the relation in lexicographic order."""
         out = []
@@ -159,32 +155,18 @@ def inverse(f: Relation) -> Relation:
     return Relation._trusted(f.n, tuple(_inverse_rows(f.rows)))
 
 
-def _point_mask(f: Relation, points: Iterable[int]) -> int:
-    """The bitmask of ``points``, each an int on the carrier of f."""
-    mask = 0
-    for x in points:
-        if type(x) is not int:
-            raise ValueError(f"point {x!r} is a {type(x).__name__}, not an int")
-        if not 0 <= x < f.n:
-            raise ValueError(f"point {x} out of range for carrier of size {f.n}")
-        mask |= 1 << x
-    return mask
-
-
-def image(f: Relation, points: Iterable[int]) -> frozenset[int]:
-    """f[A]: everything reachable in one step from a point of A."""
-    acc = 0
-    for x in iter_bits(_point_mask(f, points)):
-        acc |= f.rows[x]
-    return frozenset(iter_bits(acc))
-
-
 def restrict(f: Relation, points: Iterable[int]) -> Relation:
     """Keep only pairs whose first coordinate lies in ``points``.
 
     The carrier is unchanged; rows outside the set become empty.
     """
-    keep = _point_mask(f, points)
+    keep = 0
+    for x in points:
+        if type(x) is not int:
+            raise ValueError(f"point {x!r} is a {type(x).__name__}, not an int")
+        if not 0 <= x < f.n:
+            raise ValueError(f"point {x} out of range for carrier of size {f.n}")
+        keep |= 1 << x
     return Relation(f.n, tuple(row if (keep >> x) & 1 else 0 for x, row in enumerate(f.rows)))
 
 
@@ -197,13 +179,6 @@ def _relabel(rows: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
             acc |= 1 << perm[y]
         out[perm[x]] = acc
     return tuple(out)
-
-
-def apply_permutation(f: Relation, perm: Sequence[int]) -> Relation:
-    """Relabel every point x as perm[x]."""
-    if _point_mask(f, perm) != (1 << f.n) - 1 or len(perm) != f.n:
-        raise ValueError("perm is not a bijection on the carrier")
-    return Relation(f.n, _relabel(f.rows, perm))
 
 
 def is_full(f: Relation) -> bool:

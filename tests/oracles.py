@@ -37,10 +37,6 @@ def o_rows(n: int, f: Pairs) -> list[int]:
     return [sum(1 << y for y in range(n) if (x, y) in f) for x in range(n)]
 
 
-def o_image(f: Pairs, points) -> set[int]:
-    return {y for x, y in f if x in set(points)}
-
-
 def o_restrict(f: Pairs, points) -> Pairs:
     keep = set(points)
     return frozenset((x, y) for x, y in f if x in keep)

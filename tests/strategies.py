@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import itertools
 from random import Random
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from hypothesis import strategies as st
 
-from finrel import Relation, compose, is_idempotent
+from finrel import Relation, census, compose, is_idempotent
 from finrel.census import ENUM_CAP
 
 
@@ -29,6 +29,21 @@ def full_relations(n: int) -> Iterator[Relation]:
         raise ValueError(f"carrier size {n} outside 1..{ENUM_CAP}")
     for rows in itertools.product(range(1, 1 << n), repeat=n):
         yield Relation(n, rows)
+
+
+def idempotent_relations(n: int) -> Iterator[Relation]:
+    """Every idempotent full relation on n points, as the census backtracker
+    lists them: in odometer order over rows, row 0 most significant.
+
+    The backtracker is looked up at each call, so a test that patches
+    ``census._idempotent_relations`` reaches every caller of this one.
+    """
+    return (f for f, _ in census._idempotent_relations(n, False))
+
+
+def relabel(f: Relation, perm: Sequence[int]) -> Relation:
+    """f with every point x renamed perm[x], built from its pairs."""
+    return Relation.from_pairs(f.n, ((perm[x], perm[y]) for x, y in f.pairs()))
 
 
 def random_full_relation(n: int, rng: Random) -> Relation:

@@ -17,7 +17,6 @@ from finrel import (
     compose,
     gamma_relation,
     gamma_witness,
-    idempotent_relations,
     identity,
     inverse,
     is_coordinatewise_chain,
@@ -31,7 +30,7 @@ from finrel import (
     survey,
     two_point_witness,
 )
-from strategies import all_relations, full_relations, random_idempotent
+from strategies import all_relations, full_relations, idempotent_relations, random_idempotent
 from test_io_cli import bundled, run_cli
 
 

@@ -10,11 +10,8 @@ import strategies
 from finrel import (
     Relation,
     SurveyReport,
-    apply_permutation,
-    canonical_form,
     compose,
     gamma_relation,
-    idempotent_relations,
     identity,
     inverse,
     is_full,
@@ -25,13 +22,20 @@ from finrel import (
 )
 from finrel.census import COUNTS, _full_classes, _idempotent_relations, _is_canonical
 from finrel.core import _inverse_rows
-from strategies import full_relations, idempotent_power, random_full_relation, random_idempotent
+from strategies import (
+    full_relations,
+    idempotent_power,
+    idempotent_relations,
+    random_full_relation,
+    random_idempotent,
+    relabel,
+)
 from test_io_cli import run_cli
 
 
 def heads_ascend(f):
     """Whether f's points ascend by (reflexive, out-degree)."""
-    heads = [(f.has(x, x), len(f.successors(x))) for x in range(f.n)]
+    heads = [(f.has(x, x), row.bit_count()) for x, row in enumerate(f.rows)]
     return heads == sorted(heads)
 
 
@@ -108,57 +112,75 @@ class TestIdempotentEnumeration:
             if n <= 4:
                 assert inv == o.o_rows(n, o.o_inverse(o.pairs_of(f)))
 
-    def test_cap(self):
-        with pytest.raises(ValueError, match="outside"):
-            next(idempotent_relations(6))
-        with pytest.raises(ValueError, match="outside"):
-            next(idempotent_relations(0))
+
+def is_canonical(f):
+    return _is_canonical(f.rows, _inverse_rows(f.rows), {})
+
+
+def orbit(f):
+    """The packed rows of every relabeling of f, through the pair-set ``relabel``."""
+    return frozenset(relabel(f, perm).rows for perm in itertools.permutations(range(f.n)))
 
 
 class TestCanonicalForm:
+    """The census's iso filter ``_is_canonical``, which accepts exactly the
+    relations that are their own canonical form: the least relabeling, by
+    packed rows, among those whose points ascend by (reflexive, out-degree,
+    in-degree)."""
+
     def test_identity_fixed(self):
-        assert canonical_form(identity(4)) == identity(4)
+        assert is_canonical(identity(4))
 
     def test_gamma_and_its_inverse_agree(self):
+        # isomorphic by the swap: exactly one passes, the representative of both
         g = gamma_relation()
-        assert canonical_form(g) == canonical_form(inverse(g))
+        reps = {o.o_canonical_rows(2, o.pairs_of(h)) for h in (g, inverse(g))}
+        assert [h.rows for h in (g, inverse(g)) if is_canonical(h)] == list(reps)
 
     def test_random_relabelings_agree(self):
+        # every relabeling of f has the same representative: one per orbit passes
         rng = Random(7)
-        for _ in range(1000):
+        for _ in range(300):
             f = random_full_relation(5, rng)
-            perm = list(range(5))
-            rng.shuffle(perm)
-            assert canonical_form(f) == canonical_form(apply_permutation(f, perm))
+            passing = [rows for rows in orbit(f) if is_canonical(Relation(5, rows))]
+            assert len(passing) == 1
 
     def test_canonical_is_minimal(self):
         # the least relabeling whose points ascend by (reflexive, |f(x)|, |f^-1(x)|)
         f = Relation.from_pairs(3, [(0, 0), (1, 1), (2, 0), (2, 1)])
         forms = []
         for perm in itertools.permutations(range(3)):
-            g = apply_permutation(f, list(perm))
-            keys = [(g.has(x, x), len(g.successors(x)), len(inverse(g).successors(x)))
-                    for x in range(3)]
+            g = relabel(f, perm)
+            keys = [(g.has(x, x), row.bit_count(), col.bit_count())
+                    for x, (row, col) in enumerate(zip(g.rows, inverse(g).rows))]
             if keys == sorted(keys):
                 forms.append(g.rows)
-        assert canonical_form(f).rows == min(forms) == (6, 2, 4)
+        assert min(forms) == (6, 2, 4)
+        assert [rows for rows in orbit(f) if is_canonical(Relation(3, rows))] == [(6, 2, 4)]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_the_oracle_on_every_full_relation(self, n):
+        ties = {}
         for f in full_relations(n):
-            assert canonical_form(f).rows == o.o_canonical_rows(n, o.pairs_of(f))
+            accepted = _is_canonical(f.rows, _inverse_rows(f.rows), ties)
+            assert accepted == (f.rows == o.o_canonical_rows(n, o.pairs_of(f)))
 
     def test_matches_the_oracle_on_the_four_point_idempotents(self):
-        for f in idempotent_relations(4):
-            assert canonical_form(f).rows == o.o_canonical_rows(4, o.pairs_of(f))
+        ties = {}
+        for f, inv in _idempotent_relations(4, ascending=False):
+            accepted = _is_canonical(f.rows, inv, ties)
+            assert accepted == (f.rows == o.o_canonical_rows(4, o.pairs_of(f)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_census_filter_is_canonical_form_fixing_f(self, n):
+        # one member of every orbit passes: the orbits of the accepted
+        # relations are disjoint and cover every full relation
         ties = {}
         accepted = [f for f in full_relations(n)
                     if _is_canonical(f.rows, _inverse_rows(f.rows), ties)]
-        assert accepted == [f for f in full_relations(n) if canonical_form(f) == f]
-        assert len(accepted) == _full_classes(n)
+        orbits = {orbit(f) for f in accepted}
+        assert len(orbits) == len(accepted) == _full_classes(n)
+        assert frozenset().union(*orbits) == {f.rows for f in full_relations(n)}
 
     @pytest.mark.parametrize("stream", [
         lambda: full_relations(3),
@@ -168,9 +190,7 @@ class TestCanonicalForm:
         ties = {}
         accepted = Counter()
         for f in stream():
-            orbit = min(apply_permutation(f, list(perm)).rows
-                        for perm in itertools.permutations(range(f.n)))
-            accepted[orbit] += _is_canonical(f.rows, _inverse_rows(f.rows), ties)
+            accepted[min(orbit(f))] += _is_canonical(f.rows, _inverse_rows(f.rows), ties)
         assert set(accepted.values()) == {1}
 
     @pytest.mark.parametrize("n,classes", [(4, 80), (5, 485)])
@@ -178,17 +198,11 @@ class TestCanonicalForm:
         ties = {}
         accepted = Counter()
         for f, inv in _idempotent_relations(n, ascending=True):
-            orbit = min(apply_permutation(f, list(perm)).rows
-                        for perm in itertools.permutations(range(n)))
-            accepted[orbit] += _is_canonical(f.rows, inv, ties)
+            accepted[min(orbit(f))] += _is_canonical(f.rows, inv, ties)
         assert set(accepted.values()) == {1}
-        unpruned = sum(_is_canonical(f.rows, _inverse_rows(f.rows), ties)
-                       for f in idempotent_relations(n))
+        unpruned = sum(_is_canonical(f.rows, inv, ties)
+                       for f, inv in _idempotent_relations(n, ascending=False))
         assert len(accepted) == unpruned == classes
-
-    def test_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            canonical_form(identity(9))
 
 
 class TestIdempotentPower:
@@ -338,7 +352,7 @@ def _orbit_size(f: Relation) -> int:
     n = f.n
     aut = sum(
         1 for perm in itertools.permutations(range(n))
-        if apply_permutation(f, list(perm)) == f
+        if relabel(f, perm) == f
     )
     total = 1
     for k in range(2, n + 1):
@@ -439,7 +453,7 @@ class TestSurveyUpToIso:
         full_mode = survey(n, mode="all")
         assert iso.counterexamples == ()
 
-        reps = [f for f in full_relations(n) if canonical_form(f) == f]
+        reps = [f for f in full_relations(n) if is_canonical(f)]
         assert iso.full == len(reps)
         weights = {f.rows: _orbit_size(f) for f in reps}
 
@@ -459,7 +473,7 @@ class TestSurveyUpToIso:
 
     def test_class_counts_match_rep_scan(self):
         iso = survey(3, mode="up_to_iso")
-        reps = [f for f in full_relations(3) if canonical_form(f) == f]
+        reps = [f for f in full_relations(3) if is_canonical(f)]
         assert iso.full == len(reps)
         assert iso.idempotent_full == sum(1 for f in reps if is_idempotent(f))
 

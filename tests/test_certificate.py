@@ -25,7 +25,7 @@ import pytest
 import finrel.census as census
 import oracles as o
 from finrel import Relation, survey
-from strategies import full_relations
+from strategies import full_relations, idempotent_relations
 from test_io_cli import run_cli
 
 N = 3
@@ -100,7 +100,7 @@ def assert_flagged(capsys, reason, count=None, n=N):
 
 
 def test_target_passes_unbroken():
-    assert any(f == TARGET for f in census.idempotent_relations(N))
+    assert any(f == TARGET for f in idempotent_relations(N))
     assert survey(N).counterexamples == ()
 
 

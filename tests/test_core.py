@@ -1,19 +1,18 @@
 import itertools
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import finrel
 import oracles as o
 from finrel import (
     PreconditionError,
     Relation,
-    apply_permutation,
     compose,
     gamma_relation,
-    idempotent_relations,
     identity,
-    image,
     inverse,
     is_full,
     is_idempotent,
@@ -28,11 +27,13 @@ from finrel import (
     serialize_relation,
     two_point_witness,
 )
-from finrel.core import _BITS, _compose_rows, _inverse_rows, iter_bits
+from finrel.core import _BITS, _compose_rows, _inverse_rows, _relabel, iter_bits
 from strategies import (
     all_relations,
     full_relations,
     idempotent_power,
+    idempotent_relations,
+    relabel,
     relation_pairs,
     relation_triples,
     relation_with_permutation,
@@ -116,9 +117,6 @@ class TestRelationType:
         with pytest.raises(ValueError, match=f"^point {bad}, not an int$"):
             f.has(x, y)
 
-    def test_successors_sorted(self, t_relation):
-        assert t_relation.successors(2) == (0, 1)
-
     def test_hashable_value_semantics(self):
         assert {gamma_relation(), gamma_relation()} == {gamma_relation()}
 
@@ -198,30 +196,6 @@ class TestInverse:
         assert compose(inverse(g), inverse(f)) == inverse(compose(f, g))
 
 
-class TestImage:
-    def test_t_from_two(self, t_relation):
-        assert image(t_relation, {2}) == {0, 1}
-
-    def test_empty_set(self, t_relation):
-        assert image(t_relation, set()) == frozenset()
-
-    def test_gamma_whole(self):
-        assert image(gamma_relation(), {0, 1}) == {0, 1}
-
-    def test_singleton_matches_row(self, t_relation):
-        for x in range(3):
-            assert image(t_relation, {x}) == set(t_relation.successors(x))
-
-    def test_out_of_range(self, t_relation):
-        with pytest.raises(ValueError, match="out of range"):
-            image(t_relation, {3})
-
-    @pytest.mark.parametrize("point", [1.0, True, "1"])
-    def test_rejects_a_point_that_is_not_an_int(self, point):
-        with pytest.raises(ValueError, match="not an int"):
-            image(gamma_relation(), [point])
-
-
 class TestRestrict:
     def test_t_to_its_range_is_identity_there(self, t_relation):
         assert restrict(t_relation, {0, 1}) == restrict(identity(3), {0, 1})
@@ -288,40 +262,23 @@ class TestPredicates:
         x, y = satisfies_gamma(f)
         assert x != y and f.has(x, x) and f.has(x, y) and f.has(y, y)
         x, a = nontriviality_witness(f)
-        assert f.has(x, a) and set(f.successors(a)) != {a}
+        assert f.has(x, a) and f.rows[a] != 1 << a
 
 
 class TestApplyPermutation:
+    """Relabeling through the pair-set helper ``strategies.relabel``."""
+
     def test_identity_permutation(self, t_relation):
-        assert apply_permutation(t_relation, [0, 1, 2]) == t_relation
+        assert relabel(t_relation, [0, 1, 2]) == t_relation
 
     def test_gamma_swap_is_inverse(self):
         g = gamma_relation()
-        assert apply_permutation(g, [1, 0]) == inverse(g)
-
-    def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError, match="bijection"):
-            apply_permutation(gamma_relation(), [0, 0])
-
-    @pytest.mark.parametrize("perm", [[0], [0, 1, 1], [1, 0, 0]])
-    def test_rejects_the_wrong_length(self, perm):
-        with pytest.raises(ValueError, match="bijection"):
-            apply_permutation(gamma_relation(), perm)
-
-    def test_rejects_an_entry_off_the_carrier(self):
-        with pytest.raises(ValueError, match="out of range"):
-            apply_permutation(gamma_relation(), [0, 2])
-
-    # [True, False] sorts to [0, 1], so only a type test tells it from a perm
-    @pytest.mark.parametrize("perm", [[1.0, 0.0], [True, False], [1, False], ["1", 0]])
-    def test_rejects_an_entry_that_is_not_an_int(self, perm):
-        with pytest.raises(ValueError, match="not an int"):
-            apply_permutation(gamma_relation(), perm)
+        assert relabel(g, [1, 0]) == inverse(g)
 
     @given(relation_with_permutation())
     def test_profile_invariant(self, fp):
         f, perm = fp
-        a, b = properties(f), properties(apply_permutation(f, perm))
+        a, b = properties(f), properties(relabel(f, perm))
         assert (a.full, a.idempotent, a.surjective, a.single_valued, a.trivial) == (
             b.full, b.idempotent, b.surjective, b.single_valued, b.trivial)
         assert (a.gamma_witness is None) == (b.gamma_witness is None)
@@ -407,10 +364,10 @@ class TestRowsPastTheByteTable:
         assert o.pairs_of(inverse(f)) == o.o_inverse(fp)
 
     @given(relation_with_permutation(min_n=7, max_n=12))
-    def test_apply_permutation_matches_the_oracle(self, fp):
+    def test_relabel_matches_the_oracle(self, fp):
         f, perm = fp
         want = {(perm[x], perm[y]) for x, y in o.pairs_of(f)}
-        assert o.pairs_of(apply_permutation(f, perm)) == want
+        assert o.pairs_of(Relation(f.n, _relabel(f.rows, perm))) == want
 
     @given(relations(min_n=7, max_n=12))
     def test_pairs_and_both_forms_round_trip(self, f):
@@ -467,7 +424,7 @@ class TestStructuralFacts:
             if not is_idempotent(f):
                 continue
             for x in range(n):
-                succ = set(f.successors(x))
+                succ = o.o_successors(o.pairs_of(f), x)
                 for b in succ:
                     assert any(f.has(a, b) for a in succ)
 
@@ -489,3 +446,34 @@ class TestPropertyReport:
     def test_gamma_flag_tracks_witness(self, t_relation):
         assert properties(gamma_relation()).gamma is True
         assert properties(t_relation).gamma is False
+
+
+class TestPublicSurface:
+    NAMES = frozenset({
+        "GammaWitness", "PreconditionError", "PropertyReport", "Relation",
+        "RelationParseError", "SurveyReport", "WitnessChain", "compose", "count_threads",
+        "gamma_from_seed", "gamma_relation", "gamma_witness", "identity", "inverse",
+        "is_coordinatewise_chain", "is_full", "is_idempotent", "is_single_valued",
+        "is_surjective", "is_trivial", "iter_threads", "nontriviality_witness",
+        "parse_relation", "properties", "reflexive_pair_witness", "restrict",
+        "satisfies_gamma", "serialize_relation", "survey", "two_point_witness",
+    })
+
+    def test_all_is_the_frozen_surface(self):
+        assert len(finrel.__all__) == len(self.NAMES) == 30
+        assert set(finrel.__all__) == self.NAMES
+        assert all(hasattr(finrel, name) for name in finrel.__all__)
+
+    def test_removed_names_are_gone(self):
+        for name in ("image", "apply_permutation", "idempotent_relations", "canonical_form"):
+            assert not hasattr(finrel, name)
+        assert not hasattr(Relation, "successors")
+
+    def test_readme_library_block_runs(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+        code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        scope = {}
+        exec(code, scope)
+        assert len(scope["ts"]) == 13
+        assert scope["report"].counterexamples == ()

@@ -284,9 +284,11 @@ class TestCheckCommand:
         assert "expected gamma=true" in err
 
     def test_expect_rejects_unknown_flag(self, capsys):
-        code, _, err = run_cli(capsys, "check", bundled("t"), "--expect", "shiny=true")
-        assert code == 2
-        assert "--expect" in err
+        # every --expect is read before the report is printed
+        assert run_cli(capsys, "check", bundled("t"), "--expect", "trivial=true",
+                       "--expect", "shiny=true") == (
+            2, "", "finrel: error: --expect wants <flag>=<true|false> with flag one of full, "
+                   "idempotent, surjective, single_valued, trivial, gamma; got 'shiny=true'\n")
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "check", "no-such-file.json")
@@ -365,6 +367,13 @@ class TestWitnessCommand:
         code, _, err = run_cli(capsys, "witness", bundled("t"))
         assert code == 2
         assert "nontrivial" in err
+
+    @pytest.mark.parametrize("lemma", [[], ["--lemma", "theorem"], ["--lemma", "1"]],
+                             ids=["default", "theorem", "1"])
+    def test_seed_needs_lemma_two(self, capsys, lemma):
+        name = lemma[1] if lemma else "theorem"
+        assert run_cli(capsys, "witness", bundled("gamma"), *lemma, "--seed", "0,1") == (
+            2, "", f"finrel: error: --seed applies only to --lemma 2, not --lemma {name}\n")
 
     def test_bad_seed_syntax(self, capsys):
         code, _, err = run_cli(capsys, "witness", bundled("gamma"),
@@ -687,7 +696,12 @@ class TestOpCommand:
          "op restrict needs exactly one relation file"),
         (["restrict", bundled("gamma"), "--points", "x,1"],
          "--points wants comma-separated integers; got 'x,1'"),
-    ], ids=["inverse_two_files", "restrict_two_files", "restrict_bad_points"])
+        (["inverse", bundled("gamma"), "--points", "0"],
+         "--points applies only to op restrict, not op inverse"),
+        (["compose", bundled("gamma"), bundled("gamma"), "--points", "0,1"],
+         "--points applies only to op restrict, not op compose"),
+    ], ids=["inverse_two_files", "restrict_two_files", "restrict_bad_points",
+            "inverse_points", "compose_points"])
     def test_usage_errors(self, capsys, argv, message):
         assert run_cli(capsys, "op", *argv) == (2, "", f"finrel: error: {message}\n")
 

@@ -11,7 +11,6 @@ from finrel import (
     gamma_relation,
     gamma_witness,
     identity,
-    idempotent_relations,
     inverse,
     is_idempotent,
     is_trivial,
@@ -27,7 +26,7 @@ from finrel.witness import (
     _gamma_pipeline,
     _reflexive_pair,
 )
-from strategies import idempotent_power, random_idempotent
+from strategies import idempotent_power, idempotent_relations, random_idempotent
 
 
 def full_square(n):
