@@ -38,12 +38,13 @@ in the partition refinement of McKay and Piperno, "Practical graph isomorphism,
 II" (J. Symbolic Comput. 60, 2014).  Placing row x fixes the reflexive bit
 and out-degree of x, so this pass skips each row that makes them descend,
 with its subtree (at n=5, 920 of the 33,052 leaves remain), and tries
-only permutations within runs of tied keys.  The classes of full
-relations are counted by Burnside's lemma instead of visited.
+only permutations within runs of tied keys, cached per run structure.  The
+classes of full relations are counted by Burnside's lemma, not visited.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -53,6 +54,7 @@ from typing import Iterator, Sequence
 from .core import (
     Relation,
     _BITS,
+    _check_carrier,
     _compose_rows,
     _relabel,
     nontriviality_witness,
@@ -125,52 +127,36 @@ def _idempotent_relations(n: int, ascending: bool) -> Iterator[tuple[Relation, l
             yield Relation._trusted(n, tuple(rows)), list(packed[n].to_bytes(n, "little"))
 
 
-def _key_runs(rows: Sequence[int], inv: Sequence[int]) -> tuple[list[int], tuple[int, ...]]:
-    """Sort the points of f, with transpose ``inv``, by an isomorphism invariant.
+@functools.cache
+def _run_permutations(runs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every permutation that maps each run of points onto itself, the identity first.
+
+    The runs are consecutive: the first ``runs[0]`` points, then the next
+    ``runs[1]``, and so on.  The cache keeps at most 2^(n-1) entries, one per
+    composition of n.
+    """
+    starts = itertools.accumulate(runs, initial=0)
+    blocks = [itertools.permutations(range(s, s + k)) for s, k in zip(starts, runs)]
+    return tuple(sum(parts, ()) for parts in itertools.product(*blocks))
+
+
+def _is_canonical(rows: Sequence[int], inv: Sequence[int]) -> bool:
+    """Whether the relation on ``rows``, with transpose ``inv``, represents its class.
 
     A point's key is (reflexive bit, |f(x)|, |f^-1(x)|), packed four bits a
     field into one int, which holds the degrees on up to 8 points, the
     reach of the byte tables; a relabeling carries every key along with its
-    point.  ``order`` lists the points by ascending key, ties in point order,
-    and ``runs`` the lengths of the runs of equal keys along it.
+    point.  The representative is the least relabeling, row-wise
+    lexicographic on the packed rows, among those that sort the points by
+    key.  A relation is it exactly when its keys ascend along the points and
+    no permutation within a run of equal keys makes its rows smaller.
     """
     keys = [(row >> x & 1) << 8 | row.bit_count() << 4 | col.bit_count()
             for x, (row, col) in enumerate(zip(rows, inv))]
-    order = sorted(range(len(rows)), key=keys.__getitem__)
-    keys.sort()
-    return order, tuple(len(list(run)) for _, run in itertools.groupby(keys))
-
-
-def _run_permutations(runs: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Every permutation that maps each run of points onto itself, the identity first.
-
-    The runs are consecutive: the first ``runs[0]`` points, then the next
-    ``runs[1]``, and so on.
-    """
-    blocks, start = [], 0
-    for length in runs:
-        blocks.append(itertools.permutations(range(start, start + length)))
-        start += length
-    for parts in itertools.product(*blocks):
-        yield sum(parts, ())
-
-
-def _is_canonical(rows: Sequence[int], inv: Sequence[int], ties: dict) -> bool:
-    """Whether the relation on ``rows``, with transpose ``inv``, represents its class.
-
-    The representative is the least relabeling, row-wise lexicographic on the
-    packed rows, among those that sort the points by the key (reflexive bit,
-    |f(x)|, |f^-1(x)|).  A relation is it exactly when its keys ascend along
-    the points and no permutation within a run of equal keys makes its rows
-    smaller.  ``ties`` keeps the permutations of each run structure already
-    met.
-    """
-    order, runs = _key_runs(rows, inv)
-    if order != list(range(len(rows))):
+    if any(a > b for a, b in zip(keys, keys[1:])):
         return False
-    if runs not in ties:
-        ties[runs] = list(_run_permutations(runs))
-    return all(_relabel(rows, perm) >= rows for perm in ties[runs])
+    runs = tuple(len(list(run)) for _, run in itertools.groupby(keys))
+    return all(_relabel(rows, perm) >= rows for perm in _run_permutations(runs))
 
 
 @dataclass(frozen=True)
@@ -315,6 +301,7 @@ def survey(n: int, mode: str = "all") -> SurveyReport:
     """
     if mode not in ("all", "up_to_iso"):
         raise ValueError(f"unknown survey mode {mode!r}")
+    _check_carrier(n)
     if not 1 <= n <= ENUM_CAP:
         raise ValueError(
             f"carrier size {n} outside 1..{ENUM_CAP} for mode {mode!r}; "
@@ -322,12 +309,11 @@ def survey(n: int, mode: str = "all") -> SurveyReport:
         )
 
     iso = mode == "up_to_iso"
-    ties: dict = {}  # run lengths -> their permutations, for this call only
     identity = tuple(1 << x for x in range(n))
     started = time.perf_counter()
     total = _Tally()
     for f, inv in _idempotent_relations(n, ascending=iso):
-        if not iso or _is_canonical(f.rows, inv, ties):
+        if not iso or _is_canonical(f.rows, inv):
             _check_idempotent(f, inv, total, identity)
     elapsed = time.perf_counter() - started
 

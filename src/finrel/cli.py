@@ -218,10 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="count isomorphism classes (canonical representatives) only")
     p.add_argument("--workers", type=_integer, default=1, metavar="W",
                    help="kept for compatibility; must be positive, and the census runs in one thread")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--csv", action="store_true", default=True,
-                     help="emit the versioned CSV row (default)")
-    fmt.add_argument("--json", action="store_true", help="emit the full JSON report")
+    p.add_argument("--json", action="store_true", help="emit the JSON report (default: the CSV row)")
     p.set_defaults(func=_cmd_survey)
 
     p = sub.add_parser("mahavier", help="threads of the inverse limit over a finite chain")

@@ -2,20 +2,20 @@
 
 A thread of length m for a relation f is a tuple (x_0, ..., x_{m-1}) whose
 later coordinates map onto the earlier ones: (x_{l'}, x_l) lies in f for
-every l < l' (all pairs), or for l' = l + 1 only (adjacent; the same for
-transitive f, so for every idempotent f).  The threads are the finite
-analogue of the inverse limit of f over the chain 0 < 1 < ... < m-1.
+every l < l'.  For transitive f, so for every idempotent f, this is the
+classical condition on adjacent coordinates alone.  The threads are the
+finite analogue of the inverse limit of f over the chain 0 < 1 < ... < m-1.
 
 A thread set is a plain tuple of threads in lexicographic order.
 ``iter_threads`` streams the threads and ``count_threads`` counts them
 without building any.  The engine sums up a prefix by one state, the mask
 of points allowed as its next coordinate.  It starts from all points, and
-placing v leaves the allowed points that map onto v (all pairs) or all
-points that map onto v (adjacent).  States are numbered in the order first
-found, the start 0, one round per coordinate, and discovery stops at the
-first round that finds no new state.  The threads of the canonical gamma
-relation on two points are the indicator tuples of down-sets of the chain:
-m+1 of them, totally ordered coordinatewise (``is_coordinatewise_chain``).
+placing v leaves the allowed points that map onto v.  States are numbered
+in the order first found, the start 0, one round per coordinate, and
+discovery stops at the first round that finds no new state.  The threads
+of the canonical gamma relation on two points are the indicator tuples of
+down-sets of the chain: m+1 of them, totally ordered coordinatewise
+(``is_coordinatewise_chain``).
 """
 
 from __future__ import annotations
@@ -35,13 +35,15 @@ def gamma_relation() -> Relation:
 
 
 def _check_length(m: int) -> None:
+    if type(m) is not int:
+        raise ValueError(f"chain length is a {type(m).__name__}, not an int")
     if m < 1:
         raise ValueError("chain length must be positive")
     if m > MAX_LENGTH:
         raise ValueError(f"chain length {m} exceeds the cap {MAX_LENGTH}")
 
 
-def _moves(f: Relation, m: int, adjacent_only: bool) -> list[list[tuple[int, int]]]:
+def _moves(f: Relation, m: int) -> list[list[tuple[int, int]]]:
     """The moves (v, index of the next state) of every state, by index; a state
     first reached at length m gets none, as no prefix there goes on."""
     inv = inverse(f).rows
@@ -54,7 +56,7 @@ def _moves(f: Relation, m: int, adjacent_only: bool) -> list[list[tuple[int, int
         for allowed in states[len(moves):]:
             out = []
             for v in _BITS[allowed] if allowed < 256 else iter_bits(allowed):
-                nxt = inv[v] if adjacent_only else allowed & inv[v]
+                nxt = allowed & inv[v]
                 s = index.get(nxt)
                 if s is None:
                     s = index[nxt] = len(states)
@@ -64,14 +66,14 @@ def _moves(f: Relation, m: int, adjacent_only: bool) -> list[list[tuple[int, int
     return moves + [[] for _ in states[len(moves):]]
 
 
-def iter_threads(f: Relation, m: int, adjacent_only: bool = False) -> Iterator[Thread]:
+def iter_threads(f: Relation, m: int) -> Iterator[Thread]:
     """Stream the threads of f over a chain of length m in lexicographic order.
 
     A depth-first walk with an explicit stack over the states of the module
     docstring that steps only into states able to take the rest of the chain.
     """
     _check_length(m)
-    moves = _moves(f, m, adjacent_only)
+    moves = _moves(f, m)
     # tails: the most coordinates each state can still take, m for those that
     # can take m; round r finds the states that can take r but not r + 1
     tails = [m] * len(moves)
@@ -100,10 +102,10 @@ def iter_threads(f: Relation, m: int, adjacent_only: bool = False) -> Iterator[T
             yield tuple(prefix)
 
 
-def count_threads(f: Relation, m: int, adjacent_only: bool = False) -> int:
+def count_threads(f: Relation, m: int) -> int:
     """The number of threads, by m forward steps of exact prefix counts per state."""
     _check_length(m)
-    moves = _moves(f, m, adjacent_only)
+    moves = _moves(f, m)
     counts = [1] + [0] * (len(moves) - 1)
     for _ in range(m):
         ahead = [0] * len(moves)

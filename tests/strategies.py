@@ -46,6 +46,11 @@ def relabel(f: Relation, perm: Sequence[int]) -> Relation:
     return Relation.from_pairs(f.n, ((perm[x], perm[y]) for x, y in f.pairs()))
 
 
+def full_square(n: int) -> Relation:
+    """The relation holding every pair of points."""
+    return Relation(n, tuple((1 << n) - 1 for _ in range(n)))
+
+
 def random_full_relation(n: int, rng: Random) -> Relation:
     """Uniform random full relation: each row a uniform nonempty subset."""
     return Relation(n, tuple(rng.randrange(1, 1 << n) for _ in range(n)))

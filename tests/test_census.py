@@ -114,7 +114,7 @@ class TestIdempotentEnumeration:
 
 
 def is_canonical(f):
-    return _is_canonical(f.rows, _inverse_rows(f.rows), {})
+    return _is_canonical(f.rows, _inverse_rows(f.rows))
 
 
 def orbit(f):
@@ -160,24 +160,21 @@ class TestCanonicalForm:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_the_oracle_on_every_full_relation(self, n):
-        ties = {}
         for f in full_relations(n):
-            accepted = _is_canonical(f.rows, _inverse_rows(f.rows), ties)
+            accepted = _is_canonical(f.rows, _inverse_rows(f.rows))
             assert accepted == (f.rows == o.o_canonical_rows(n, o.pairs_of(f)))
 
     def test_matches_the_oracle_on_the_four_point_idempotents(self):
-        ties = {}
         for f, inv in _idempotent_relations(4, ascending=False):
-            accepted = _is_canonical(f.rows, inv, ties)
+            accepted = _is_canonical(f.rows, inv)
             assert accepted == (f.rows == o.o_canonical_rows(4, o.pairs_of(f)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_census_filter_is_canonical_form_fixing_f(self, n):
         # one member of every orbit passes: the orbits of the accepted
         # relations are disjoint and cover every full relation
-        ties = {}
         accepted = [f for f in full_relations(n)
-                    if _is_canonical(f.rows, _inverse_rows(f.rows), ties)]
+                    if _is_canonical(f.rows, _inverse_rows(f.rows))]
         orbits = {orbit(f) for f in accepted}
         assert len(orbits) == len(accepted) == _full_classes(n)
         assert frozenset().union(*orbits) == {f.rows for f in full_relations(n)}
@@ -187,20 +184,18 @@ class TestCanonicalForm:
         lambda: idempotent_relations(4),
     ], ids=["full-3", "idempotent-4"])
     def test_census_filter_accepts_one_member_per_class(self, stream):
-        ties = {}
         accepted = Counter()
         for f in stream():
-            accepted[min(orbit(f))] += _is_canonical(f.rows, _inverse_rows(f.rows), ties)
+            accepted[min(orbit(f))] += _is_canonical(f.rows, _inverse_rows(f.rows))
         assert set(accepted.values()) == {1}
 
     @pytest.mark.parametrize("n,classes", [(4, 80), (5, 485)])
     def test_census_filter_on_the_pruned_stream_loses_no_class(self, n, classes):
-        ties = {}
         accepted = Counter()
         for f, inv in _idempotent_relations(n, ascending=True):
-            accepted[min(orbit(f))] += _is_canonical(f.rows, inv, ties)
+            accepted[min(orbit(f))] += _is_canonical(f.rows, inv)
         assert set(accepted.values()) == {1}
-        unpruned = sum(_is_canonical(f.rows, inv, ties)
+        unpruned = sum(_is_canonical(f.rows, inv)
                        for f, inv in _idempotent_relations(n, ascending=False))
         assert len(accepted) == unpruned == classes
 
@@ -346,6 +341,10 @@ class TestSurvey:
             survey(6, mode="up_to_iso")
         with pytest.raises(ValueError, match="mode"):
             survey(2, mode="everything")
+        # an int only: True is no carrier of one point
+        for n in (True, 2.0, "3"):
+            with pytest.raises(ValueError, match=type(n).__name__):
+                survey(n)
 
 
 def _orbit_size(f: Relation) -> int:

@@ -31,6 +31,7 @@ from finrel.core import _BITS, _compose_rows, _inverse_rows, _relabel, iter_bits
 from strategies import (
     all_relations,
     full_relations,
+    full_square,
     idempotent_power,
     idempotent_relations,
     relabel,
@@ -40,10 +41,6 @@ from strategies import (
     relations,
     sparse_full_relations,
 )
-
-
-def full_square(n):
-    return Relation(n, tuple((1 << n) - 1 for _ in range(n)))
 
 
 class TestRelationType:

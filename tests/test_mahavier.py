@@ -20,11 +20,7 @@ from finrel import (
     satisfies_gamma,
 )
 from finrel import mahavier
-from strategies import all_relations, full_relations, random_full_relation
-
-
-def full_square(n):
-    return Relation(n, tuple((1 << n) - 1 for _ in range(n)))
+from strategies import all_relations, full_relations, full_square, random_full_relation
 
 
 def is_transitive(f):
@@ -104,22 +100,23 @@ class TestThreadsPropagate:
         assert ts[0] == (0,) * 1000 and ts[-1] == (1,) * 1000
 
     def test_walk_skips_dead_prefixes(self):
-        # 40 layers of two points, each mapping onto both points of the layer
-        # below: about 2**41 prefixes, all dead before length 50, come before
-        # the one thread of the self-loop at point 80
-        rows = [0b11 << (2 * layer - 2) if layer else 0 for layer in range(40) for _ in range(2)]
+        # 40 layers of two points, each mapping onto every point of every
+        # lower layer: a thread climbs the layers, so about 3**40 prefixes,
+        # all dead before length 50, come before the one thread of the
+        # self-loop at point 80
+        rows = [(1 << 2 * layer) - 1 for layer in range(40) for _ in range(2)]
         f = Relation(81, tuple(rows) + (1 << 80,))
-        assert list(iter_threads(f, 50, adjacent_only=True)) == [(80,) * 50]
-        assert count_threads(f, 50, adjacent_only=True) == 1
+        assert count_threads(f, 40) == 2 ** 40 + 1
+        assert list(iter_threads(f, 50)) == [(80,) * 50]
+        assert count_threads(f, 50) == 1
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_naive_exhaustively(self, n):
         for f in all_relations(n):
             for m in (1, 2, 3, 4):
-                for adjacent in (False, True):
-                    expected = naive(f, m, adjacent)
-                    assert tuple(iter_threads(f, m, adjacent)) == expected
-                    assert count_threads(f, m, adjacent) == len(expected)
+                expected = naive(f, m)
+                assert tuple(iter_threads(f, m)) == expected
+                assert count_threads(f, m) == len(expected)
 
     def test_matches_naive_random_four_points(self):
         rng = Random(404)
@@ -143,16 +140,15 @@ class TestThreadsPropagate:
 
 
 class TestCountThreads:
-    @pytest.mark.parametrize("adjacent", [False, True])
-    def test_many_points_short_chain(self, adjacent):
+    def test_many_points_short_chain(self):
         # 30 points at length 2: 900 and 465 threads from a handful of states,
         # where a state per set of placed points would reach 2**30 of them
         everything = [(a, b) for a in range(30) for b in range(30)]
-        assert count_threads(full_square(30), 2, adjacent) == 900
-        assert list(iter_threads(full_square(30), 2, adjacent)) == everything
+        assert count_threads(full_square(30), 2) == 900
+        assert list(iter_threads(full_square(30), 2)) == everything
         order = Relation(30, tuple((1 << (x + 1)) - 1 for x in range(30)))
-        assert count_threads(order, 2, adjacent) == 465
-        assert list(iter_threads(order, 2, adjacent)) == [(a, b) for a, b in everything if a <= b]
+        assert count_threads(order, 2) == 465
+        assert list(iter_threads(order, 2)) == [(a, b) for a, b in everything if a <= b]
 
     def test_rejects_length_past_the_cap(self):
         too_long = mahavier.MAX_LENGTH + 1
@@ -167,20 +163,20 @@ class TestCountThreads:
 
     def test_full_square_counts_every_tuple(self):
         assert count_threads(full_square(3), 200) == 3 ** 200
-        assert count_threads(full_square(3), 200, adjacent_only=True) == 3 ** 200
 
     def test_rejects_bad_length(self):
-        with pytest.raises(ValueError, match="positive"):
-            count_threads(gamma_relation(), 0)
-        with pytest.raises(ValueError, match="positive"):
-            next(iter_threads(gamma_relation(), 0))
+        # an int only: True is no length 1, and 2.0 and "3" are no lengths
+        for m, message in [(0, "positive"), (True, "bool"), (2.0, "float"), ("3", "str")]:
+            with pytest.raises(ValueError, match=message):
+                count_threads(gamma_relation(), m)
+            with pytest.raises(ValueError, match=message):
+                next(iter_threads(gamma_relation(), m))
 
 
 class TestIndexedStates:
     """The numbered state graph of ``mahavier._moves`` and its two walks."""
 
-    @pytest.mark.parametrize("adjacent", [False, True])
-    def test_wide_masks_match_the_oracle(self, adjacent):
+    def test_wide_masks_match_the_oracle(self):
         # on 9-12 points the states pass 255, past the byte table
         rng = Random(919)
         for _ in range(12):
@@ -188,22 +184,21 @@ class TestIndexedStates:
             f = Relation.from_pairs(n, [(x, y) for x in range(n) for y in range(n)
                                         if rng.random() < density])
             for m in (2, 3, 4):
-                expected = naive(f, m, adjacent)
-                assert count_threads(f, m, adjacent) == len(expected)
-                assert tuple(iter_threads(f, m, adjacent)) == expected
+                expected = naive(f, m)
+                assert count_threads(f, m) == len(expected)
+                assert tuple(iter_threads(f, m)) == expected
 
-    @pytest.mark.parametrize("adjacent", [False, True])
-    def test_discovery_stops_at_closure(self, adjacent):
+    def test_discovery_stops_at_closure(self):
         for f in (gamma_relation(), identity(1)):
-            graph = mahavier._moves(f, mahavier.MAX_LENGTH, adjacent)
-            assert graph == mahavier._moves(f, 3, adjacent)
+            graph = mahavier._moves(f, mahavier.MAX_LENGTH)
+            assert graph == mahavier._moves(f, 3)
             assert graph[0] and all(graph)
 
     def test_only_states_within_the_length_get_moves(self):
         # at length 1 the start of the 30-point linear order reaches the 30
         # up-sets {v, ..., 29}, itself among them, and nothing goes on from them
         order = Relation(30, tuple((1 << (x + 1)) - 1 for x in range(30)))
-        graph = mahavier._moves(order, 1, False)
+        graph = mahavier._moves(order, 1)
         assert len(graph) == 30
         assert [len(out) for out in graph] == [30] + [0] * 29
         assert count_threads(order, 1) == 30
@@ -213,25 +208,17 @@ class TestAdjacentVersusAllPairs:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_coincide_for_idempotent(self, n):
         # every idempotent relation is transitive, and transitivity alone
-        # makes the adjacent pairs imply all the others
+        # makes the adjacent pairs imply all the others: the engine's threads
+        # are the classical adjacent-condition ones
         transitive = [f for f in all_relations(n) if is_transitive(f)]
         assert len(transitive) == [1, 2, 13, 171, 3994][n]  # OEIS A006905
         for f in transitive:
             for m in (1, 2, 3, 5):
-                assert (
-                    tuple(iter_threads(f, m, adjacent_only=True))
-                    == tuple(iter_threads(f, m))
-                )
-
-    def test_diverge_for_swap(self, swap):
-        # alternating tuples satisfy the adjacent condition but not the
-        # all-pairs one
-        adjacent = tuple(iter_threads(swap, 3, adjacent_only=True))
-        allpairs = tuple(iter_threads(swap, 3))
-        assert adjacent == ((0, 1, 0), (1, 0, 1))
-        assert allpairs == ()
+                assert tuple(iter_threads(f, m)) == naive(f, m, adjacent_only=True)
 
     def test_naive_supports_both(self, swap):
+        # alternating tuples satisfy the adjacent condition but not the
+        # all-pairs one
         assert naive(swap, 3, adjacent_only=True) == ((0, 1, 0), (1, 0, 1))
         assert naive(swap, 3) == ()
 

@@ -26,11 +26,7 @@ from finrel.witness import (
     _gamma_pipeline,
     _reflexive_pair,
 )
-from strategies import idempotent_power, idempotent_relations, random_idempotent
-
-
-def full_square(n):
-    return Relation(n, tuple((1 << n) - 1 for _ in range(n)))
+from strategies import full_square, idempotent_power, idempotent_relations, random_idempotent
 
 
 def chain_faults(wc, f):
@@ -336,7 +332,7 @@ class TestGammaPipeline:
         assert wide > 0 and chained > 0
 
 
-class TestWitnessChainValidate:
+class TestOracleChainFaults:
     """Chain traces that the pair-set oracle check must reject."""
 
     def test_rejects_duplicate_chain(self):
