@@ -17,20 +17,19 @@ backtracker's leaf test has already shown f o f = f, so the inverse of the
 square is the transpose itself, and the law checks that the transpose is
 idempotent.  That holds exactly when f is, so the law also catches a
 non-idempotent f that reached the checks.
-The census reads the pipeline's packed tuple (pair, both chains, range
-mask) and re-checks it; only the public ``witness`` functions build records.
+The checks read f's packed rows and the pipeline's packed tuple (pair, both
+chains, range mask); only a kept counterexample becomes a ``Relation``.
 
 The n=5 space holds 31**5 = 28,629,151 candidates, too many to visit one
 by one in pure Python.  An idempotent relation is transitive, so a
-backtracker places the rows from row 0 on and drops a row as soon as it
-breaks transitivity; at n=5 only 47,262 relations reach the exact
-idempotence test at the leaf.  Both tests are table lookups: at depth i the
-backtracker keeps the unions of the placed rows over every subset of the
-points 0..i-1, so a candidate row is transitive when the union over its own
-placed points lies within it, and row x of f o f is the union over the
+backtracker places the rows from row 0 on, drops a row as soon as it breaks
+transitivity, and solves the last row from a need mask: at n=5 it tries
+34,140 rows and 73,211 last rows, where a search of the last row tried
+127,753 rows.  Its tests are lookups in the unions of the placed rows over
+every subset of their points: a row is transitive when the union over its
+own placed points lies within it, and row x of f o f is the union over the
 points of row x.  Exhaustive agreement tests at small n pin it to an
 idempotence filter over all full relations.
-The census is one sequential pass of that backtracker into one tally.
 Mode ``up_to_iso`` runs the same backtracker and keeps the idempotent
 relations that represent their class (``_is_canonical``): the least
 relabeling among those that sort the points by an isomorphism invariant, as
@@ -56,10 +55,10 @@ from .core import (
     _BITS,
     _check_carrier,
     _compose_rows,
+    _gamma,
+    _nontriviality,
     _relabel,
-    nontriviality_witness,
-    satisfies_gamma,
-    two_point_witness,
+    _two_point,
 )
 from .io import relation_to_document
 from .witness import _gamma_pipeline
@@ -75,31 +74,49 @@ for _bit in range(8):
     _SPREAD += [r | 1 << 8 * _bit for r in _SPREAD]
 
 
-def _idempotent_relations(n: int, ascending: bool) -> Iterator[tuple[Relation, list[int]]]:
-    """Every idempotent full relation f on n points, with the packed rows of
-    inverse(f), in odometer order over rows: row 0 most significant, each row
-    over its nonempty subsets ascending.
+def _idempotent_relations(n: int, ascending: bool) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """The packed rows of every idempotent full relation f on n points, with
+    those of inverse(f), in odometer order over rows: row 0 most significant,
+    each row over its nonempty subsets ascending.
 
     Idempotent implies transitive: y in f(x) implies f(y) within f(x).  So
     row i lies within every placed row that contains i (``cap``), and
-    contains every placed row x < i whose point x it contains; with no row
-    placed, row 0 ranges over every nonempty subset.
+    contains every placed row x < i whose point x it contains.
     With ``ascending`` only those whose heads (reflexive bit, |f(x)|) ascend:
     row x fixes the head of x, so a row below the last head goes with its
     subtree.  One loop walks the depths; depth i keeps the cap of row i, the
     row it tries, its least head (0 skips the test, 1 admits all), the
     transpose of rows 0..i-1 (column y in byte y) and ``unions[i]``, the
-    2^i unions of rows 0..i-1 indexed by a subset of those points.  The
-    transitivity test and the leaf test read ``unions``, and the cap ANDs
-    the placed rows listed in byte i of the transpose.  ``survey`` checks
-    that n lies in 1..ENUM_CAP.
+    2^i unions of rows 0..i-1 indexed by a subset of those points, which the
+    transitivity test reads.  The cap ANDs the placed rows listed in byte i
+    of the transpose.  The last row w is solved: with ``nu`` the unions of
+    rows 0..n-2, a row without point n-1 must equal ``nu[row]`` already, and
+    w must hold what the other points of a row holding n-1 miss.  Such w
+    pass when transitive and, without n-1, their own square.  ``survey``
+    checks that n lies in 1..ENUM_CAP.
     """
     full, i, floor = (1 << n) - 1, 0, int(ascending)
-    rows, caps, floors, packed = [0] * n, [full] * n, [floor] * n, [0] * (n + 1)
-    unions = [[0]] * n
+    rows, caps, floors, packed, unions = [0] * n, [full] * n, [floor] * n, [0] * n, [[0]] * n
     while i >= 0:
-        # the nonempty submasks of the cap, ascending; a spent depth is left at 0
         cap, floor = caps[i], floors[i]
+        if i == n - 1:
+            nu, bit, prefix, need = unions[i], 1 << i, tuple(rows[:i]), 0
+            for row in prefix:
+                # no w fills a row without point i, so its lack goes above any cap
+                lack = row & ~nu[row & ~bit]
+                need |= lack if row & bit else lack << n
+            # w = need | s for s over the submasks of the rest of the cap, ascending
+            rest, w = cap & ~need, need or cap & -cap
+            while not need & ~cap:  # a need outside the cap leaves no w
+                if ((not floor or (w >> i & 1) << 4 | w.bit_count() >= floor)
+                        and not nu[w & bit - 1] & ~w and (w & bit or nu[w] == w)):
+                    yield prefix + (w,), list((packed[i] | _SPREAD[w] << i).to_bytes(n, "little"))
+                if w == cap:
+                    break
+                w = (w - cap) & rest | need
+            i -= 1
+            continue
+        # the nonempty submasks of the cap, ascending; a spent depth is left at 0
         v = rows[i] = (rows[i] - cap) & cap
         if not v:
             i -= 1
@@ -112,19 +129,12 @@ def _idempotent_relations(n: int, ascending: bool) -> Iterator[tuple[Relation, l
         if u[v & low] & ~v:
             continue
         packed[i + 1] = packed[i] | _SPREAD[v] << i
-        if i + 1 < n:
-            unions[i + 1] = u + [w | v for w in u]
-            i += 1
-            floors[i], cap = head, full
-            for x in _BITS[packed[i] >> 8 * i & 255]:  # the placed rows holding i
-                cap &= rows[x]
-            caps[i] = cap
-            continue
-        # f o f = f: row x of the square is the union of the rows of its
-        # points, below i from the table, v when x holds point i
-        last = (0, v)
-        if [u[row & low] | last[row >> i] for row in rows] == rows:
-            yield Relation._trusted(n, tuple(rows)), list(packed[n].to_bytes(n, "little"))
+        unions[i + 1] = u + [w | v for w in u]
+        i += 1
+        floors[i], cap = head, full
+        for x in _BITS[packed[i] >> 8 * i & 255]:  # the placed rows holding i
+            cap &= rows[x]
+        caps[i] = cap
 
 
 @functools.cache
@@ -209,22 +219,21 @@ class _Tally:
     counterexample_total: int = 0
 
 
-def _flag(tally: _Tally, f: Relation, reason: str) -> None:
+def _flag(tally: _Tally, rows: tuple, reason: str) -> None:
     tally.counterexample_total += 1
     if len(tally.counterexamples) < COUNTEREXAMPLE_CAP:
-        doc = relation_to_document(f)
+        doc = relation_to_document(Relation(len(rows), rows))
         doc["reason"] = reason
         tally.counterexamples.append(doc)
 
 
-def _check_idempotent(f: Relation, inv: list[int], tally: _Tally, identity: tuple) -> None:
-    """Run every census check on idempotent full f, whose transpose is ``inv``."""
+def _check_idempotent(rows: tuple, inv: list[int], tally: _Tally, identity: tuple) -> None:
+    """Run every census check on the idempotent full f on ``rows``, whose transpose is ``inv``."""
     tally.idempotent_full += 1
 
-    nt = nontriviality_witness(f)
-    gam = satisfies_gamma(f)
-    two = two_point_witness(f)
-    trivial = nt is None
+    trivial = _nontriviality(rows) is None
+    gam = _gamma(rows)
+    two = _two_point(rows)
 
     if gam is not None:
         tally.gamma_idempotent += 1
@@ -235,20 +244,20 @@ def _check_idempotent(f: Relation, inv: list[int], tally: _Tally, identity: tupl
 
     # the three-way equivalence for idempotent full relations
     if (gam is None) != trivial or (two is None) != trivial:
-        _flag(tally, f, "trivial / gamma / two-point disagreement")
+        _flag(tally, rows, "trivial / gamma / two-point disagreement")
 
-    rows, n = f.rows, f.n
+    n = len(rows)
     if not trivial:
         try:
             pair, chain1, chain2, _ = _gamma_pipeline(rows, inv)
         except Exception as exc:  # any failure here is exactly what we scan for
-            _flag(tally, f, f"gamma pipeline failed: {exc}")
+            _flag(tally, rows, f"gamma pipeline failed: {exc}")
         else:
             u, v = pair
             ok = u != v and 0 <= u < n and 0 <= v < n
             ok = ok and (rows[u] >> u) & (rows[u] >> v) & (rows[v] >> v) & 1
             if not ok or len(chain1) > n or len(chain2) > n:
-                _flag(tally, f, "gamma pipeline returned an invalid witness")
+                _flag(tally, rows, "gamma pipeline returned an invalid witness")
 
     surjective = all(inv)  # every point has a predecessor
     if surjective:
@@ -258,11 +267,11 @@ def _check_idempotent(f: Relation, inv: list[int], tally: _Tally, identity: tupl
     if ident:
         tally.identity_count += 1
     if trivial and surjective and not ident:
-        _flag(tally, f, "trivial idempotent surjection differs from the identity")
+        _flag(tally, rows, "trivial idempotent surjection differs from the identity")
 
     # the leaf test showed f o f = f, so the inverse of the square is inv itself
     if _compose_rows(inv, inv) != inv:
-        _flag(tally, f, "squaring does not commute with inversion")
+        _flag(tally, rows, "squaring does not commute with inversion")
 
 
 def _full_classes(n: int) -> int:
@@ -293,11 +302,12 @@ def _full_classes(n: int) -> int:
 def survey(n: int, mode: str = "all") -> SurveyReport:
     """Scan every full relation on n points and certify the equivalences.
 
-    ``mode="all"`` visits all (2^n - 1)^n full relations (capped at n=5);
-    ``mode="up_to_iso"`` checks canonical representatives only (also capped
-    at n=5; the backtracker prunes on the (reflexive bit, out-degree) heads
-    while placing rows, and ``_is_canonical`` relabels each leaf only within
-    runs of tied keys).  One sequential pass of the backtracker feeds one tally.
+    ``mode="all"`` checks every idempotent full relation, found among the
+    transitive candidates only, and counts all (2^n - 1)^n full ones by that
+    formula; ``mode="up_to_iso"`` checks canonical representatives only,
+    pruning on the (reflexive bit, out-degree) heads while placing rows, and
+    ``_is_canonical`` relabels each leaf only within runs of tied keys.  Both
+    are capped at n=5; one sequential pass of the backtracker feeds one tally.
     """
     if mode not in ("all", "up_to_iso"):
         raise ValueError(f"unknown survey mode {mode!r}")
@@ -312,9 +322,9 @@ def survey(n: int, mode: str = "all") -> SurveyReport:
     identity = tuple(1 << x for x in range(n))
     started = time.perf_counter()
     total = _Tally()
-    for f, inv in _idempotent_relations(n, ascending=iso):
-        if not iso or _is_canonical(f.rows, inv):
-            _check_idempotent(f, inv, total, identity)
+    for rows, inv in _idempotent_relations(n, ascending=iso):
+        if not iso or _is_canonical(rows, inv):
+            _check_idempotent(rows, inv, total, identity)
     elapsed = time.perf_counter() - started
 
     full = ((1 << n) - 1) ** n if mode == "all" else _full_classes(n)

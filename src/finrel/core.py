@@ -13,8 +13,8 @@ relations can be shared freely.
 
 ``Relation(...)`` and ``Relation.from_pairs`` check every row.  Rows valid
 by construction skip those checks through ``Relation._trusted``: the results
-of ``compose`` and ``inverse``, the census backtracker's leaves, and the two
-parsers in ``io``, which check every pair or cell before building a row.
+of ``compose`` and ``inverse``, and the two parsers in ``io``, which check
+every pair or cell before building a row.
 """
 
 from __future__ import annotations
@@ -204,16 +204,9 @@ def is_single_valued(f: Relation) -> bool:
     return all(row != 0 and row & (row - 1) == 0 for row in f.rows)
 
 
-def nontriviality_witness(f: Relation) -> Optional[tuple[int, int]]:
-    """Least (x, a) with a in f(x) and f(a) != {a}, or None if f is trivial.
-
-    Triviality means the restriction of f to any successor set f(x) is the
-    identity on that set; the witness pins down the first failure.  Only
-    defined for full relations.
-    """
-    if not is_full(f):
-        raise PreconditionError("triviality is only defined for full relations")
-    rows = f.rows
+# The packed cores of three predicates: the census calls them on the rows of
+# each relation, and the public predicates wrap them.
+def _nontriviality(rows: Sequence[int]) -> Optional[tuple[int, int]]:
     for x, row in enumerate(rows):
         for a in _BITS[row] if row < 256 else iter_bits(row):
             if rows[a] != 1 << a:  # f(a) != {a}
@@ -221,13 +214,7 @@ def nontriviality_witness(f: Relation) -> Optional[tuple[int, int]]:
     return None
 
 
-def is_trivial(f: Relation) -> bool:
-    return nontriviality_witness(f) is None
-
-
-def satisfies_gamma(f: Relation) -> Optional[tuple[int, int]]:
-    """Least distinct (x, y) with (x,x), (x,y), (y,y) all in f, else None."""
-    rows = f.rows
+def _gamma(rows: Sequence[int]) -> Optional[tuple[int, int]]:
     for x, row in enumerate(rows):
         if (row >> x) & 1:
             rest = row & ~(1 << x)
@@ -237,16 +224,39 @@ def satisfies_gamma(f: Relation) -> Optional[tuple[int, int]]:
     return None
 
 
-def two_point_witness(f: Relation) -> Optional[tuple[int, int]]:
-    """Least distinct (x, y) with (x,x) and (x,y) in f, else None."""
-    rows = f.rows
-    for x in range(f.n):
-        row = rows[x]
+def _two_point(rows: Sequence[int]) -> Optional[tuple[int, int]]:
+    for x, row in enumerate(rows):
         if (row >> x) & 1:
             rest = row & ~(1 << x)
             if rest:
                 return (x, (rest & -rest).bit_length() - 1)
     return None
+
+
+def nontriviality_witness(f: Relation) -> Optional[tuple[int, int]]:
+    """Least (x, a) with a in f(x) and f(a) != {a}, or None if f is trivial.
+
+    Triviality means the restriction of f to any successor set f(x) is the
+    identity on that set; the witness pins down the first failure.  Only
+    defined for full relations.
+    """
+    if not is_full(f):
+        raise PreconditionError("triviality is only defined for full relations")
+    return _nontriviality(f.rows)
+
+
+def is_trivial(f: Relation) -> bool:
+    return nontriviality_witness(f) is None
+
+
+def satisfies_gamma(f: Relation) -> Optional[tuple[int, int]]:
+    """Least distinct (x, y) with (x,x), (x,y), (y,y) all in f, else None."""
+    return _gamma(f.rows)
+
+
+def two_point_witness(f: Relation) -> Optional[tuple[int, int]]:
+    """Least distinct (x, y) with (x,x) and (x,y) in f, else None."""
+    return _two_point(f.rows)
 
 
 @dataclass(frozen=True)
@@ -275,7 +285,7 @@ class PropertyReport:
 def properties(f: Relation) -> PropertyReport:
     """Evaluate every predicate of the algebra on one relation."""
     full = is_full(f)
-    nt = nontriviality_witness(f) if full else None
+    nt = _nontriviality(f.rows) if full else None
     return PropertyReport(
         n=f.n,
         full=full,
@@ -283,7 +293,7 @@ def properties(f: Relation) -> PropertyReport:
         surjective=is_surjective(f),
         single_valued=is_single_valued(f),
         trivial=(nt is None) if full else None,
-        gamma_witness=satisfies_gamma(f),
-        two_point_witness=two_point_witness(f),
+        gamma_witness=_gamma(f.rows),
+        two_point_witness=_two_point(f.rows),
         nontriviality_witness=nt,
     )

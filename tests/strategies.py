@@ -35,10 +35,11 @@ def idempotent_relations(n: int) -> Iterator[Relation]:
     """Every idempotent full relation on n points, as the census backtracker
     lists them: in odometer order over rows, row 0 most significant.
 
-    The backtracker is looked up at each call, so a test that patches
+    Each relation is built from the yielded rows with every row checked.  The
+    backtracker is looked up at each call, so a test that patches
     ``census._idempotent_relations`` reaches every caller of this one.
     """
-    return (f for f, _ in census._idempotent_relations(n, False))
+    return (Relation(n, rows) for rows, _ in census._idempotent_relations(n, False))
 
 
 def relabel(f: Relation, perm: Sequence[int]) -> Relation:

@@ -21,7 +21,7 @@ from finrel import (
     survey,
 )
 from finrel.census import COUNTS, _full_classes, _idempotent_relations, _is_canonical
-from finrel.core import _inverse_rows
+from finrel.core import _compose_rows, _inverse_rows
 from strategies import (
     full_relations,
     idempotent_power,
@@ -100,17 +100,81 @@ class TestIdempotentEnumeration:
 
     @pytest.mark.parametrize("n,leaves", [(1, 1), (2, 4), (3, 18), (4, 112), (5, 920)])
     def test_ascending_heads_prune_to_the_filtered_stream_in_order(self, n, leaves):
-        pruned = [f for f, _ in _idempotent_relations(n, ascending=True)]
+        pruned = [Relation(n, rows) for rows, _ in _idempotent_relations(n, ascending=True)]
         assert pruned == [f for f in idempotent_relations(n) if heads_ascend(f)]
         assert len(pruned) == leaves
 
     @pytest.mark.parametrize("ascending", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_carries_the_transpose_of_each_relation(self, n, ascending):
-        for f, inv in _idempotent_relations(n, ascending):
-            assert type(inv) is list and inv == _inverse_rows(f.rows)
+        for rows, inv in _idempotent_relations(n, ascending):
+            assert type(rows) is tuple and type(inv) is list and inv == _inverse_rows(rows)
             if n <= 4:
-                assert inv == o.o_rows(n, o.o_inverse(o.pairs_of(f)))
+                assert inv == o.o_rows(n, o.o_inverse(o.pairs_of(Relation(n, rows))))
+
+    def test_five_points_are_the_filtered_full_stream_in_order(self):
+        # the rows strictly ascend, so they are distinct and in odometer order;
+        # each is full and idempotent; and there are I(5) of them, counted by
+        # the oracle's structure: so this is the filtered full stream, in order
+        stream = list(_idempotent_relations(5, ascending=False))
+        assert len(stream) == o.o_idempotent_count(5) == 33052
+        assert all(a < b for (a, _), (b, _) in zip(stream, stream[1:]))
+        for rows, inv in stream:
+            assert len(rows) == 5 and all(0 < row < 32 for row in rows)
+            assert _compose_rows(rows, rows) == list(rows)
+            assert inv == _inverse_rows(rows)
+
+
+def oracle_stream(n, prefix=()):
+    """The rows of every idempotent full relation beginning with ``prefix``,
+    ascending, from the oracle's filter of every full relation."""
+    rows = (tuple(o.o_rows(n, f)) for f in o.o_all_full_relations(n))
+    return sorted(r for r in rows if r[:len(prefix)] == prefix
+                  and o.o_is_idempotent(o.pairs_of(Relation(n, r))))
+
+
+def backtracker_stream(n, prefix=()):
+    return [rows for rows, _ in _idempotent_relations(n, False) if rows[:len(prefix)] == prefix]
+
+
+class TestLastRow:
+    """The backtracker solves the last row from rows 0..n-2 instead of trying
+    every candidate.  Each way that step goes is pinned to the oracle's filter
+    of every full relation: n=1, with no prefix; a dead prefix, which no last
+    row makes idempotent; a need outside the cap; and a need inside it."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_prefix_matches_the_oracle(self, n):
+        assert backtracker_stream(n) == oracle_stream(n)
+
+    def test_one_point_has_no_prefix(self):
+        for ascending in (False, True):
+            assert list(_idempotent_relations(1, ascending)) == [((1,), [1])]
+        assert oracle_stream(1) == [(1,)]
+
+    def test_a_dead_prefix_yields_no_last_row(self):
+        # rows 0 and 1 are {0}; row 2 = {0, 1} lacks point 3, and its square
+        # is {0} whatever row 3 is.  The prefix is transitive, so the
+        # backtracker reaches the last row with it.
+        n, prefix = 4, (1, 1, 3)
+        rows = [prefix + (w,) for w in range(1, 16)]
+        assert any(o.o_compose(f, f) <= f for f in (o.pairs_of(Relation(n, r)) for r in rows))
+        assert backtracker_stream(n, prefix) == oracle_stream(n, prefix) == []
+
+    def test_a_need_outside_the_cap_yields_no_last_row(self):
+        # row 0 = {2} caps the last row at {2}, but row 1 = {0, 2} reaches 0
+        # only through point 2, so the last row would need point 0
+        n, prefix = 3, (4, 5)
+        rows = [prefix + (w,) for w in range(1, 8)]
+        assert any(o.o_compose(f, f) <= f for f in (o.pairs_of(Relation(n, r)) for r in rows))
+        assert backtracker_stream(n, prefix) == oracle_stream(n, prefix) == []
+
+    def test_a_need_inside_the_cap_is_held_by_every_last_row(self):
+        # row 0 = {0} and row 1 = {0, 2} cap the last row at {0, 2}; row 1
+        # reaches 2 only through point 2 itself, so every last row holds 2
+        n, prefix = 3, (1, 5)
+        stream = backtracker_stream(n, prefix)
+        assert stream == oracle_stream(n, prefix) == [(1, 5, 4), (1, 5, 5)]
 
 
 def is_canonical(f):
@@ -165,9 +229,9 @@ class TestCanonicalForm:
             assert accepted == (f.rows == o.o_canonical_rows(n, o.pairs_of(f)))
 
     def test_matches_the_oracle_on_the_four_point_idempotents(self):
-        for f, inv in _idempotent_relations(4, ascending=False):
-            accepted = _is_canonical(f.rows, inv)
-            assert accepted == (f.rows == o.o_canonical_rows(4, o.pairs_of(f)))
+        for rows, inv in _idempotent_relations(4, ascending=False):
+            accepted = _is_canonical(rows, inv)
+            assert accepted == (rows == o.o_canonical_rows(4, o.pairs_of(Relation(4, rows))))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_census_filter_is_canonical_form_fixing_f(self, n):
@@ -192,11 +256,11 @@ class TestCanonicalForm:
     @pytest.mark.parametrize("n,classes", [(4, 80), (5, 485)])
     def test_census_filter_on_the_pruned_stream_loses_no_class(self, n, classes):
         accepted = Counter()
-        for f, inv in _idempotent_relations(n, ascending=True):
-            accepted[min(orbit(f))] += _is_canonical(f.rows, inv)
+        for rows, inv in _idempotent_relations(n, ascending=True):
+            accepted[min(orbit(Relation(n, rows)))] += _is_canonical(rows, inv)
         assert set(accepted.values()) == {1}
-        unpruned = sum(_is_canonical(f.rows, inv)
-                       for f, inv in _idempotent_relations(n, ascending=False))
+        unpruned = sum(_is_canonical(rows, inv)
+                       for rows, inv in _idempotent_relations(n, ascending=False))
         assert len(accepted) == unpruned == classes
 
 

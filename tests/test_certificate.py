@@ -4,15 +4,17 @@ An empty counterexample list only certifies the paper's equivalences if every
 check in ``census._check_idempotent`` can fire.  Each test below breaks one
 collaborator that ``finrel.census`` imports, runs the census, and asserts that
 exactly the expected reason is reported, both by ``survey`` and by
-``finrel survey``, which must then exit 1.
+``finrel survey``, which must then exit 1.  The census checks packed rows, so
+the predicate faults break its packed cores ``_nontriviality``, ``_gamma``
+and ``_two_point``.
 
-The backtracker hands the census each f with its transpose, and the law
-squares that transpose through ``census._compose_rows``, the one call there
-that passes the same list as both arguments.  Most law tests break only that
-square, so the pipeline and the surjectivity count keep a correct transpose
-of f; the others hand the census a transpose of their own, which shows that
-the law reads what the backtracker carries.  The backtracker's leaf test
-unites rows in a loop of its own, so no fault here reaches it.
+The backtracker hands the census the rows of each f with its transpose, and
+the law squares that transpose through ``census._compose_rows``, the one call
+there that passes the same list as both arguments.  Most law tests break only
+that square, so the pipeline and the surjectivity count keep a correct
+transpose of f; the others hand the census a transpose of their own, which
+shows that the law reads what the backtracker carries.  The backtracker's leaf
+test reads lookup tables of its own, so no fault here reaches it.
 
 The census reads the pipeline's packed result ``(pair, chain1, chain2, rng)``
 directly, so the invalid-witness tests corrupt that tuple.
@@ -43,8 +45,8 @@ LAW = "squaring does not commute with inversion"
 
 
 def only_on_target(real, fault):
-    """``real`` everywhere except on TARGET or its rows, where ``fault`` answers instead."""
-    return lambda f, *rest: fault(f, *rest) if f in (TARGET, TARGET.rows) else real(f, *rest)
+    """``real`` everywhere except on TARGET's rows, where ``fault`` answers instead."""
+    return lambda rows, *rest: fault(rows, *rest) if rows == TARGET.rows else real(rows, *rest)
 
 
 def break_the_square_of_the_transpose(monkeypatch, fault, only_target=False):
@@ -74,10 +76,10 @@ def carry_transposes(monkeypatch, swap=None, extra=()):
     real = census._idempotent_relations
 
     def relations(n, ascending):
-        for f, inv in real(n, ascending):
-            yield f, swap if swap is not None and f == TARGET else inv
+        for rows, inv in real(n, ascending):
+            yield rows, swap if swap is not None and rows == TARGET.rows else inv
         for f in extra:
-            yield f, oracle_transpose(f)
+            yield f.rows, oracle_transpose(f)
 
     monkeypatch.setattr(census, "_idempotent_relations", relations)
 
@@ -104,9 +106,11 @@ def test_target_passes_unbroken():
     assert survey(N).counterexamples == ()
 
 
-@pytest.mark.parametrize("name", ["satisfies_gamma", "two_point_witness"])
+# each predicate is broken in its packed core, which the census calls
+@pytest.mark.parametrize("name", ["_gamma", "_two_point"],
+                         ids=["satisfies_gamma", "two_point_witness"])
 def test_a_missed_pattern_breaks_the_equivalence(name, monkeypatch, capsys):
-    monkeypatch.setattr(census, name, only_on_target(getattr(census, name), lambda f: None))
+    monkeypatch.setattr(census, name, only_on_target(getattr(census, name), lambda rows: None))
     assert_flagged(capsys, "trivial / gamma / two-point disagreement", count=1)
 
 
@@ -137,8 +141,8 @@ def test_an_invalid_witness_is_caught_by_the_census_itself(corrupt, monkeypatch,
 def test_a_trivial_surjection_must_be_the_identity(monkeypatch, capsys):
     # TARGET is surjective and not the identity; all three tests call it trivial
     assert all(TARGET_TRANSPOSE)
-    for name in ("nontriviality_witness", "satisfies_gamma", "two_point_witness"):
-        monkeypatch.setattr(census, name, only_on_target(getattr(census, name), lambda f: None))
+    for name in ("_nontriviality", "_gamma", "_two_point"):
+        monkeypatch.setattr(census, name, only_on_target(getattr(census, name), lambda rows: None))
     assert_flagged(capsys, "trivial idempotent surjection differs from the identity", count=1)
 
 
