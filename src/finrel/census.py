@@ -47,8 +47,7 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     Relation,
@@ -139,15 +138,16 @@ def _idempotent_relations(n: int, ascending: bool) -> Iterator[tuple[tuple[int, 
 
 @functools.cache
 def _run_permutations(runs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Every permutation that maps each run of points onto itself, the identity first.
+    """Every permutation other than the identity that maps each run of points onto itself.
 
     The runs are consecutive: the first ``runs[0]`` points, then the next
-    ``runs[1]``, and so on.  The cache keeps at most 2^(n-1) entries, one per
-    composition of n.
+    ``runs[1]``, and so on.  With every run of length 1 there is none.  The
+    cache keeps at most 2^(n-1) entries, one per composition of n.
     """
     starts = itertools.accumulate(runs, initial=0)
     blocks = [itertools.permutations(range(s, s + k)) for s, k in zip(starts, runs)]
-    return tuple(sum(parts, ()) for parts in itertools.product(*blocks))
+    # permutations() yields each block's identity first, so product() yields the identity first
+    return tuple(sum(parts, ()) for parts in itertools.product(*blocks))[1:]
 
 
 def _is_canonical(rows: Sequence[int], inv: Sequence[int]) -> bool:
@@ -169,17 +169,7 @@ def _is_canonical(rows: Sequence[int], inv: Sequence[int]) -> bool:
     return all(_relabel(rows, perm) >= rows for perm in _run_permutations(runs))
 
 
-@dataclass(frozen=True)
-class SurveyReport:
-    """Aggregated result of one exhaustive scan.
-
-    ``counterexamples`` holds serialized relations that violated any checked
-    equivalence, with the reason, the first ``COUNTEREXAMPLE_CAP`` of them;
-    ``counterexample_total`` counts them all.  The census claim is precisely
-    that the total is 0.  In ``up_to_iso`` mode the counts are per
-    isomorphism class (canonical representatives only).
-    """
-
+class _SurveyFields(NamedTuple):
     n: int
     mode: str
     full: int
@@ -193,11 +183,31 @@ class SurveyReport:
     counterexample_total: int
     elapsed: float
 
-    def __post_init__(self) -> None:
+
+class SurveyReport(_SurveyFields):
+    """Aggregated result of one exhaustive scan.
+
+    ``counterexamples`` holds serialized relations that violated any checked
+    equivalence, with the reason, the first ``COUNTEREXAMPLE_CAP`` of them;
+    ``counterexample_total`` counts them all.  The census claim is precisely
+    that the total is 0.  In ``up_to_iso`` mode the counts are per
+    isomorphism class (canonical representatives only).  Building a report,
+    ``_replace`` included, checks that the counts add up.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "SurveyReport":
+        self = super().__new__(cls, *args, **kwargs)
         if self.idempotent_full != self.nontrivial_idempotent + self.trivial_idempotent:
             raise AssertionError("idempotent count does not split into trivial + nontrivial")
         if len(self.counterexamples) > self.counterexample_total:
             raise AssertionError("more counterexample reports than counterexamples")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "SurveyReport":
+        return cls(*iterable)
 
 
 # the counts of a report in field order, which is the order of the --json "counts"
@@ -205,18 +215,15 @@ COUNTS = ("full", "idempotent_full", "nontrivial_idempotent", "trivial_idempoten
           "gamma_idempotent", "surjective_idempotent", "identity_count")
 
 
-@dataclass
 class _Tally:
     """The report's fields from ``idempotent_full`` on, as the census counts them."""
 
-    idempotent_full: int = 0
-    nontrivial_idempotent: int = 0
-    trivial_idempotent: int = 0
-    gamma_idempotent: int = 0
-    surjective_idempotent: int = 0
-    identity_count: int = 0
-    counterexamples: list[dict] = field(default_factory=list)
-    counterexample_total: int = 0
+    __slots__ = COUNTS[1:] + ("counterexamples", "counterexample_total")
+
+    def __init__(self) -> None:
+        for name in self.__slots__:
+            setattr(self, name, 0)
+        self.counterexamples: list[dict] = []
 
 
 def _flag(tally: _Tally, rows: tuple, reason: str) -> None:
@@ -329,4 +336,4 @@ def survey(n: int, mode: str = "all") -> SurveyReport:
 
     full = ((1 << n) - 1) ** n if mode == "all" else _full_classes(n)
     total.counterexamples = tuple(total.counterexamples)
-    return SurveyReport(n=n, mode=mode, full=full, **vars(total), elapsed=elapsed)
+    return SurveyReport(n, mode, full, *(getattr(total, k) for k in _Tally.__slots__), elapsed)

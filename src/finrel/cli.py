@@ -16,9 +16,7 @@ import functools
 import json
 import re
 import sys
-from dataclasses import asdict
-from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .census import COUNTS, survey
 from .core import Relation, compose, inverse, properties, restrict
@@ -47,10 +45,16 @@ def _integer(raw: str) -> int:
 
 def _load_relation(path: str) -> Relation:
     try:
-        text = Path(path).read_text()
+        with open(path) as stream:
+            text = stream.read()
     except OSError as exc:
         raise RelationParseError(f"cannot read {path}: {exc}") from exc
     return parse_relation(text)
+
+
+def _asdict(record: NamedTuple) -> dict:
+    """A record's fields by name, a nested record as a dict; a plain tuple stays a tuple."""
+    return {k: _asdict(v) if hasattr(v, "_fields") else v for k, v in record._asdict().items()}
 
 
 def _parse_expect(raw: str) -> tuple[str, bool]:
@@ -66,7 +70,7 @@ def _cmd_check(args) -> int:
     expected = [_parse_expect(raw) for raw in args.expect or ()]  # a usage error prints no report
     report = properties(_load_relation(args.file))
     # the record's fields as declared, with gamma_witness printed as gamma
-    doc = {"gamma" if k == "gamma_witness" else k: v for k, v in asdict(report).items()}
+    doc = {"gamma" if k == "gamma_witness" else k: v for k, v in _asdict(report).items()}
     print(json.dumps(doc, indent=2))
     failures = []
     for name, wanted in expected:
@@ -90,13 +94,13 @@ def _cmd_witness(args) -> int:
             raise RelationParseError(f"--seed wants two integers 'x,y'; got {args.seed!r}")
         seed = tuple(map(int, args.seed.split(",")))
     if args.lemma == "1":
-        out = asdict(reflexive_pair_witness(f))
+        out = _asdict(reflexive_pair_witness(f))
     elif args.lemma == "2":
         if seed is None:
             raise RelationParseError("--lemma 2 requires --seed x,y")
-        out = asdict(gamma_from_seed(f, *seed))
+        out = _asdict(gamma_from_seed(f, *seed))
     else:
-        out = asdict(gamma_witness(f))
+        out = _asdict(gamma_witness(f))
         out = {"witness": out.pop("pair"), **out}
     print(json.dumps(out, indent=2))
     return 0

@@ -19,8 +19,7 @@ every pair or cell before building a row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 class PreconditionError(ValueError):
@@ -45,25 +44,28 @@ def iter_bits(mask: int) -> Iterator[int]:
 _BITS = [tuple(iter_bits(r)) for r in range(256)]
 
 
-@dataclass(frozen=True)
 class Relation:
     """A binary relation on the points {0, ..., n-1}.
 
     ``rows[x]`` is the bitmask of f(x); membership of (x, y) is a single
     shift-and-test.  Rows may be empty: fullness is a predicate, not a
     structural requirement (inverses of non-surjective relations have
-    empty rows).
+    empty rows).  A relation is immutable, and equal to and hashed as
+    another exactly when both have the same ``(n, rows)``.
     """
 
-    n: int
-    rows: tuple[int, ...]
+    __slots__ = ("n", "rows")
+
+    def __init__(self, n: int, rows: Iterable[int]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", tuple(rows))
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _check_carrier(self.n)
         if self.n < 1:
             raise ValueError("carrier must be nonempty")
-        rows = tuple(self.rows)
-        object.__setattr__(self, "rows", rows)
+        rows = self.rows
         if len(rows) != self.n:
             raise ValueError(f"expected {self.n} rows, got {len(rows)}")
         limit = 1 << self.n
@@ -77,10 +79,26 @@ class Relation:
     def _trusted(cls, n: int, rows: tuple[int, ...]) -> "Relation":
         """A relation on rows already known to be n ints in 0..2^n-1; no checks."""
         f = object.__new__(cls)
-        fields = f.__dict__  # the frozen __setattr__ would refuse these writes
-        fields["n"] = n
-        fields["rows"] = rows
+        object.__setattr__(f, "n", n)
+        object.__setattr__(f, "rows", rows)
         return f
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.rows) == (other.n, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.rows))
+
+    def __reduce__(self) -> tuple:
+        return (self.__class__, (self.n, self.rows))
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Relation":
@@ -259,8 +277,7 @@ def two_point_witness(f: Relation) -> Optional[tuple[int, int]]:
     return _two_point(f.rows)
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     """The full predicate profile of one relation, with witnesses.
 
     ``trivial`` is None when the relation is not full, since triviality is

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .core import _BITS, Relation, inverse, iter_bits
+from .core import _BITS, Relation, _inverse_rows, iter_bits
 
 MAX_LENGTH = 1 << 20
 
@@ -46,7 +46,7 @@ def _check_length(m: int) -> None:
 def _moves(f: Relation, m: int) -> list[list[tuple[int, int]]]:
     """The moves (v, index of the next state) of every state, by index; a state
     first reached at length m gets none, as no prefix there goes on."""
-    inv = inverse(f).rows
+    inv = _inverse_rows(f.rows)
     states = [(1 << f.n) - 1]
     index = {states[0]: 0}
     moves: list[list[tuple[int, int]]] = []

@@ -30,8 +30,7 @@ them directly; only the public functions build records, from the same cores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     PreconditionError,
@@ -48,8 +47,7 @@ KIND_REFLEXIVE_PAIR = "reflexive_pair"
 KIND_GAMMA_FROM_SEED = "gamma_from_seed"
 
 
-@dataclass(frozen=True)
-class WitnessChain:
+class WitnessChain(NamedTuple):
     """Trace of one chain construction.
 
     ``chain`` lists the visited points in order (empty when the result was
@@ -65,8 +63,7 @@ class WitnessChain:
     result: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class GammaWitness:
+class GammaWitness(NamedTuple):
     """Result of the full pipeline: the gamma pair plus both chain traces.
 
     ``restricted_to`` lists the range of f in ascending order when f is not

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import re
 from pathlib import Path
 
@@ -10,8 +12,11 @@ import oracles as o
 from finrel import (
     PreconditionError,
     Relation,
+    SurveyReport,
     compose,
+    gamma_from_seed,
     gamma_relation,
+    gamma_witness,
     identity,
     inverse,
     is_full,
@@ -22,6 +27,7 @@ from finrel import (
     nontriviality_witness,
     parse_relation,
     properties,
+    reflexive_pair_witness,
     restrict,
     satisfies_gamma,
     serialize_relation,
@@ -116,6 +122,53 @@ class TestRelationType:
 
     def test_hashable_value_semantics(self):
         assert {gamma_relation(), gamma_relation()} == {gamma_relation()}
+
+    def test_immutable(self, t_relation):
+        for name, value in (("n", 4), ("rows", (1, 2, 3)), ("extra", 0)):
+            with pytest.raises(AttributeError):
+                setattr(t_relation, name, value)
+            with pytest.raises(AttributeError):
+                delattr(t_relation, name)
+        assert (t_relation.n, t_relation.rows) == (3, (1, 2, 3))
+
+    def test_not_a_container(self, t_relation):
+        with pytest.raises(TypeError):
+            iter(t_relation)
+        with pytest.raises(TypeError):
+            len(t_relation)
+        with pytest.raises(TypeError):
+            (0, 0) in t_relation
+
+    def test_equal_only_to_a_relation(self, t_relation):
+        assert t_relation != (t_relation.n, t_relation.rows)
+        assert t_relation == Relation(3, [1, 2, 3])
+        assert t_relation != Relation(3, (1, 2, 1))
+        assert hash(t_relation) == hash((3, (1, 2, 3)))
+
+    def test_pickle_and_copy_round_trip(self, t_relation):
+        for clone in (pickle.loads(pickle.dumps(t_relation)), copy.copy(t_relation),
+                      copy.deepcopy(t_relation)):
+            assert type(clone) is Relation
+            assert (clone.n, clone.rows) == (t_relation.n, t_relation.rows)
+            assert clone == t_relation and hash(clone) == hash(t_relation)
+
+    def test_post_init_runs_on_each_checked_construction_only(self, monkeypatch, t_relation):
+        # the benchmark traces construction by rebinding this hook
+        calls = []
+        real = Relation.__post_init__
+        monkeypatch.setattr(Relation, "__post_init__", lambda f: calls.append(f.n) or real(f))
+        Relation(2, (1, 2))
+        Relation.from_pairs(3, [(0, 1)])
+        identity(4)
+        restrict(t_relation, [0])
+        pickle.loads(pickle.dumps(t_relation))
+        assert calls == [2, 3, 4, 3, 3]
+        compose(t_relation, t_relation)
+        inverse(t_relation)
+        Relation._trusted(2, (1, 2))
+        for form in ("json", "matrix"):
+            parse_relation(serialize_relation(t_relation, form))
+        assert calls == [2, 3, 4, 3, 3]
 
 
 class TestIdentity:
@@ -393,7 +446,8 @@ class TestTrustedConstruction:
             parsed = [parse_relation(serialize_relation(f, form)) for form in ("json", "matrix")]
             for r in (f, inverse(f), compose(f, f), *parsed):
                 checked = Relation(r.n, r.rows)
-                assert vars(r) == vars(checked)
+                assert type(r) is Relation and (r.n, r.rows) == (checked.n, checked.rows)
+                assert r == checked
                 assert hash(r) == hash(checked)
 
 
@@ -432,6 +486,60 @@ class TestStructuralFacts:
                 continue
             if is_trivial(f) or is_single_valued(f):
                 assert f == identity(n)
+
+
+class TestRecords:
+    """The result records are named tuples whose repr is the one they had as
+    frozen dataclasses, and whose fields cannot be assigned."""
+
+    RECORDS = [
+        (lambda: properties(gamma_relation()),
+         "PropertyReport(n=2, full=True, idempotent=True, surjective=True, single_valued=False, "
+         "trivial=False, gamma_witness=(0, 1), two_point_witness=(0, 1), "
+         "nontriviality_witness=(0, 0))"),
+        (lambda: properties(Relation(3, (1, 2, 3))),
+         "PropertyReport(n=3, full=True, idempotent=True, surjective=False, single_valued=False, "
+         "trivial=True, gamma_witness=None, two_point_witness=None, nontriviality_witness=None)"),
+        (lambda: reflexive_pair_witness(Relation(3, (7, 4, 4))),
+         "WitnessChain(kind='reflexive_pair', chain=(1, 2), seed=None, result=(2, 1))"),
+        (lambda: gamma_from_seed(Relation(3, (7, 4, 4)), 0, 1),
+         "WitnessChain(kind='gamma_from_seed', chain=(1, 2), seed=(0, 1), result=(0, 2))"),
+        (lambda: gamma_witness(Relation(3, (7, 4, 4))),
+         "GammaWitness(pair=(0, 2), reflexive_stage=WitnessChain(kind='reflexive_pair', "
+         "chain=(1, 2), seed=None, result=(2, 1)), extension_stage=WitnessChain("
+         "kind='gamma_from_seed', chain=(1, 0), seed=(2, 1), result=(2, 0)), restricted_to=None)"),
+        (lambda: gamma_witness(Relation(3, (3, 2, 3))),
+         "GammaWitness(pair=(0, 1), reflexive_stage=WitnessChain(kind='reflexive_pair', "
+         "chain=(), seed=None, result=(1, 0)), extension_stage=WitnessChain("
+         "kind='gamma_from_seed', chain=(0,), seed=(1, 0), result=(1, 0)), "
+         "restricted_to=(0, 1))"),
+        (lambda: SurveyReport(2, "all", 9, 6, 3, 3, 3, 2, 1,
+                              ({"n": 2, "pairs": [[0, 1]], "reason": "forced"},), 2, 0.5),
+         "SurveyReport(n=2, mode='all', full=9, idempotent_full=6, nontrivial_idempotent=3, "
+         "trivial_idempotent=3, gamma_idempotent=3, surjective_idempotent=2, identity_count=1, "
+         "counterexamples=({'n': 2, 'pairs': [[0, 1]], 'reason': 'forced'},), "
+         "counterexample_total=2, elapsed=0.5)"),
+    ]
+
+    @pytest.mark.parametrize("build,text", RECORDS)
+    def test_repr_is_the_dataclass_repr(self, build, text):
+        assert repr(build()) == text
+
+    @pytest.mark.parametrize("build,text", RECORDS)
+    def test_fields_cannot_be_assigned(self, build, text):
+        record = build()
+        for name in (*record._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        assert repr(record) == text
+
+    def test_survey_report_checks_its_counts_on_replace(self):
+        report = self.RECORDS[-1][0]()
+        with pytest.raises(AssertionError, match="does not split"):
+            report._replace(trivial_idempotent=4)
+        with pytest.raises(AssertionError, match="more counterexample reports"):
+            report._replace(counterexample_total=0)
+        assert report._replace(elapsed=0.0).elapsed == 0.0
 
 
 class TestPropertyReport:

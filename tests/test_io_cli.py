@@ -295,6 +295,19 @@ class TestCheckCommand:
         assert code == 2
         assert "cannot read" in err
 
+    def test_path_is_opened_as_given(self, capsys):
+        # a trailing slash names a directory, so a regular file behind it is unreadable
+        code, out, err = run_cli(capsys, "check", bundled("gamma") + "/")
+        assert (code, out) == (2, "")
+        assert "cannot read" in err and "Not a directory" in err
+
+    def test_undecodable_file(self, tmp_path, capsys):
+        doc = tmp_path / "latin1.json"
+        doc.write_bytes(b'{"n": 1, "pairs": [[0, 0]], "note": "\xe9"}')
+        code, out, err = run_cli(capsys, "check", str(doc))
+        assert (code, out) == (2, "")
+        assert err.startswith("finrel: error: ") and "codec can't decode" in err
+
     def test_huge_carrier_rejected_before_allocating(self, tmp_path, capsys):
         doc = tmp_path / "huge.json"
         doc.write_text('{"n": 1000000000, "pairs": []}')
@@ -536,9 +549,8 @@ class TestSurveyCommand:
 
         def doctored(n, mode="all"):
             report = real(n, mode=mode)
-            from dataclasses import replace
-            return replace(report, counterexamples=({"n": n, "pairs": [], "reason": "forced"},),
-                           counterexample_total=1)
+            return report._replace(counterexamples=({"n": n, "pairs": [], "reason": "forced"},),
+                                   counterexample_total=1)
 
         monkeypatch.setattr(cli_mod, "survey", doctored)
         code, out, _ = run_cli(capsys, "survey", "--n", "2")
@@ -810,6 +822,16 @@ class TestDependencies:
         done = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "False"
+
+    def test_start_loads_no_dataclasses_inspect_or_pathlib(self):
+        # -S: the host's site hooks may import any of them before finrel does
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = ("import sys, finrel, finrel.cli; finrel.cli.build_parser(); "
+                 "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
     def test_module_entry_point(self):
         src = Path(__file__).resolve().parents[1] / "src"
