@@ -24,12 +24,11 @@ The n=5 space holds 31**5 = 28,629,151 candidates, too many to visit one
 by one in pure Python.  An idempotent relation is transitive, so a
 backtracker places the rows from row 0 on, drops a row as soon as it breaks
 transitivity, and solves the last row from a need mask: at n=5 it tries
-34,140 rows and 73,211 last rows, where a search of the last row tried
-127,753 rows.  Its tests are lookups in the unions of the placed rows over
-every subset of their points: a row is transitive when the union over its
-own placed points lies within it, and row x of f o f is the union over the
-points of row x.  Exhaustive agreement tests at small n pin it to an
-idempotence filter over all full relations.
+34,140 rows and 73,211 last rows.  Its tests are lookups in the unions of
+the placed rows over every subset of their points: a row is transitive when
+the union over its own placed points lies within it, and row x of f o f is
+the union over the points of row x.  Exhaustive agreement tests at small n
+pin it to an idempotence filter over all full relations.
 Mode ``up_to_iso`` runs the same backtracker and keeps the idempotent
 relations that represent their class (``_is_canonical``): the least
 relabeling among those that sort the points by an isomorphism invariant, as
@@ -59,7 +58,6 @@ from .core import (
     _relabel,
     _two_point,
 )
-from .io import relation_to_document
 from .witness import _gamma_pipeline
 
 ENUM_CAP = 5
@@ -229,9 +227,9 @@ class _Tally:
 def _flag(tally: _Tally, rows: tuple, reason: str) -> None:
     tally.counterexample_total += 1
     if len(tally.counterexamples) < COUNTEREXAMPLE_CAP:
-        doc = relation_to_document(Relation(len(rows), rows))
-        doc["reason"] = reason
-        tally.counterexamples.append(doc)
+        f = Relation(len(rows), rows)
+        tally.counterexamples.append(
+            {"n": f.n, "pairs": [list(p) for p in f.pairs()], "reason": reason})
 
 
 def _check_idempotent(rows: tuple, inv: list[int], tally: _Tally, identity: tuple) -> None:

@@ -16,7 +16,7 @@ import functools
 import json
 import re
 import sys
-from typing import NamedTuple, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .census import COUNTS, survey
 from .core import Relation, compose, inverse, properties, restrict
@@ -36,11 +36,25 @@ EXPECT_FLAGS = ("full", "idempotent", "surjective", "single_valued", "trivial", 
 _INTEGER = "-?[0-9]+"
 
 
-def _integer(raw: str) -> int:
-    """The argparse type of the integer flags: ``_INTEGER`` only."""
-    if not re.fullmatch(_INTEGER, raw):
-        raise argparse.ArgumentTypeError(f"wants an integer; got {raw!r}")
-    return int(raw)
+def _argtype(pattern: str, wants: str, convert: Callable[[str], Any]) -> Callable[[str], Any]:
+    """An argparse type: a full match of ``pattern``, converted; any other value is a usage error."""
+    def parse(raw: str) -> Any:
+        if not re.fullmatch(pattern, raw):
+            raise argparse.ArgumentTypeError(f"wants {wants}; got {raw!r}")
+        return convert(raw)
+    return parse
+
+
+def _integers(raw: str) -> list[int]:
+    return [int(part) for part in raw.split(",") if part != ""]  # empty parts are skipped
+
+
+_integer = _argtype(_INTEGER, "an integer", int)
+_seed = _argtype(f"{_INTEGER},{_INTEGER}", "two integers 'x,y'", _integers)
+_points = _argtype(f"(({_INTEGER})?,)*({_INTEGER})?", "comma-separated integers", _integers)
+_expectation = _argtype(f"({'|'.join(EXPECT_FLAGS)})=(true|false)",
+                        f"<flag>=<true|false> with flag one of {', '.join(EXPECT_FLAGS)}",
+                        lambda raw: (raw.split("=")[0], raw.endswith("=true")))
 
 
 def _load_relation(path: str) -> Relation:
@@ -57,48 +71,31 @@ def _asdict(record: NamedTuple) -> dict:
     return {k: _asdict(v) if hasattr(v, "_fields") else v for k, v in record._asdict().items()}
 
 
-def _parse_expect(raw: str) -> tuple[str, bool]:
-    name, sep, value = raw.partition("=")
-    if not sep or name not in EXPECT_FLAGS or value not in ("true", "false"):
-        raise RelationParseError(
-            f"--expect wants <flag>=<true|false> with flag one of {', '.join(EXPECT_FLAGS)}; got {raw!r}"
-        )
-    return name, value == "true"
-
-
 def _cmd_check(args) -> int:
-    expected = [_parse_expect(raw) for raw in args.expect or ()]  # a usage error prints no report
     report = properties(_load_relation(args.file))
     # the record's fields as declared, with gamma_witness printed as gamma
     doc = {"gamma" if k == "gamma_witness" else k: v for k, v in _asdict(report).items()}
     print(json.dumps(doc, indent=2))
-    failures = []
-    for name, wanted in expected:
-        actual = report.gamma if name == "gamma" else getattr(report, name)
+    code = 0
+    for name, wanted in args.expect or ():
+        actual = getattr(report, name)
         if actual is not wanted:
-            failures.append(f"expected {name}={str(wanted).lower()}, got {json.dumps(actual)}")
-    if failures:
-        for line in failures:
-            print(f"check: {line}", file=sys.stderr)
-        return 1
-    return 0
+            print(f"check: expected {name}={str(wanted).lower()}, got {json.dumps(actual)}",
+                  file=sys.stderr)
+            code = 1
+    return code
 
 
 def _cmd_witness(args) -> int:
     if args.seed is not None and args.lemma != "2":
         raise RelationParseError(f"--seed applies only to --lemma 2, not --lemma {args.lemma}")
+    if args.seed is None and args.lemma == "2":
+        raise RelationParseError("--lemma 2 requires --seed x,y")
     f = _load_relation(args.file)
-    seed = None
-    if args.seed is not None:
-        if not re.fullmatch(f"{_INTEGER},{_INTEGER}", args.seed):
-            raise RelationParseError(f"--seed wants two integers 'x,y'; got {args.seed!r}")
-        seed = tuple(map(int, args.seed.split(",")))
     if args.lemma == "1":
         out = _asdict(reflexive_pair_witness(f))
     elif args.lemma == "2":
-        if seed is None:
-            raise RelationParseError("--lemma 2 requires --seed x,y")
-        out = _asdict(gamma_from_seed(f, *seed))
+        out = _asdict(gamma_from_seed(f, *args.seed))
     else:
         out = _asdict(gamma_witness(f))
         out = {"witness": out.pop("pair"), **out}
@@ -160,30 +157,14 @@ def _cmd_mahavier(args) -> int:
     return 0
 
 
-def _parse_points(raw: str) -> list[int]:
-    if not re.fullmatch(f"(({_INTEGER})?,)*({_INTEGER})?", raw):  # empty parts are skipped
-        raise RelationParseError(f"--points wants comma-separated integers; got {raw!r}")
-    return [int(part) for part in raw.split(",") if part != ""]
-
-
 def _cmd_op(args) -> int:
-    if args.points is not None and args.operation != "restrict":
-        raise RelationParseError(f"--points applies only to op restrict, not op {args.operation}")
+    f = _load_relation(args.f)
     if args.operation == "compose":
-        if len(args.files) != 2:
-            raise RelationParseError("op compose needs exactly two relation files")
-        f, g = (_load_relation(p) for p in args.files)
-        result = compose(f, g)
+        result = compose(f, _load_relation(args.g))
     elif args.operation == "inverse":
-        if len(args.files) != 1:
-            raise RelationParseError("op inverse needs exactly one relation file")
-        result = inverse(_load_relation(args.files[0]))
+        result = inverse(f)
     else:
-        if len(args.files) != 1:
-            raise RelationParseError("op restrict needs exactly one relation file")
-        if args.points is None:
-            raise RelationParseError("op restrict requires --points")
-        result = restrict(_load_relation(args.files[0]), _parse_points(args.points))
+        result = restrict(f, args.points)
     text = serialize_relation(result, form=args.form)
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
     return 0
@@ -204,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="print the predicate profile of a relation document")
     p.add_argument("file", help="relation document (JSON {'n':…,'pairs':…} or 0/1 matrix, "
                                 "rows = source point, columns = target point)")
-    p.add_argument("--expect", action="append", metavar="FLAG=BOOL",
+    p.add_argument("--expect", action="append", type=_expectation, metavar="FLAG=BOOL",
                    help="assert a flag value; exit 1 on mismatch (repeatable)")
     p.set_defaults(func=_cmd_check)
 
@@ -213,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lemma", choices=["1", "2", "theorem"], default="theorem",
                    help="1 = reflexive-pair chain, 2 = seeded gamma extension "
                         "(needs --seed), theorem = full pipeline (default)")
-    p.add_argument("--seed", metavar="X,Y", help="seed pair for the gamma extension")
+    p.add_argument("--seed", type=_seed, metavar="X,Y", help="seed pair for the gamma extension")
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("survey", help="exhaustively scan all full relations of a size")
@@ -236,11 +217,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mahavier)
 
     p = sub.add_parser("op", help="apply one algebra operation to relation files")
-    p.add_argument("operation", choices=["compose", "inverse", "restrict"])
-    p.add_argument("files", nargs="+")
-    p.add_argument("--points", help="comma-separated points for restrict")
-    p.add_argument("--form", choices=["json", "matrix"], default="json")
     p.set_defaults(func=_cmd_op)
+    ops = p.add_subparsers(dest="operation", required=True)
+    for name, files, about in (("compose", "FG", "first F then G"),
+                               ("inverse", "F", "the transpose of F"),
+                               ("restrict", "F", "the pairs of F from the given points")):
+        p = ops.add_parser(name, help=about)
+        for metavar in files:
+            p.add_argument(metavar.lower(), metavar=metavar, help="relation document")
+        p.add_argument("--form", choices=["json", "matrix"], default="json")
+        if name == "restrict":
+            p.add_argument("--points", type=_points, required=True, metavar="P,Q",
+                           help="comma-separated points to keep")
 
     return parser
 

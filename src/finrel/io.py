@@ -88,15 +88,10 @@ def parse_relation(text: str) -> Relation:
 def serialize_relation(f: Relation, form: str = "json") -> str:
     """Render a relation; ``parse_relation`` inverts this exactly."""
     if form == "json":
-        # the text json.dumps(relation_to_document(f)) gives, without the dict
+        # the text json.dumps gives for {"n": n, "pairs": [[x, y], ...]}, without the dict
         body = ", ".join([f"[{x}, {y}]" for x, y in f.pairs()])
         return f'{{"n": {f.n}, "pairs": [{body}]}}'
     if form == "matrix":
         cells = f"0{f.n}b"  # bit y of a row is column y, counted from the left
         return "".join([format(row, cells)[::-1] + "\n" for row in f.rows])
     raise ValueError(f"unknown form {form!r}")
-
-
-def relation_to_document(f: Relation) -> dict:
-    """The JSON-form document as a plain dict."""
-    return {"n": f.n, "pairs": [list(p) for p in f.pairs()]}

@@ -37,10 +37,10 @@ from .core import (
     Relation,
     _BITS,
     _inverse_rows,
+    _nontriviality,
     iter_bits,
     is_full,
     is_idempotent,
-    is_trivial,
 )
 
 KIND_REFLEXIVE_PAIR = "reflexive_pair"
@@ -82,7 +82,7 @@ def _require(f: Relation, op: str, nontrivial: bool = True) -> None:
         raise PreconditionError(f"{op} requires a full relation")
     if not is_idempotent(f):
         raise PreconditionError(f"{op} requires an idempotent relation")
-    if nontrivial and is_trivial(f):
+    if nontrivial and _nontriviality(f.rows) is None:  # is_trivial would test fullness again
         raise PreconditionError(f"{op} requires a nontrivial relation")
 
 

@@ -194,6 +194,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def parser_error(capsys, *argv):
+    """The last stderr line of a command line that exits 2 with empty stdout."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    return err.splitlines()[-1]
+
+
 def small_documents(tmp_path):
     """(path, n, pair set) of both bundled documents and every relation with n <= 2."""
     paths = [bundled("t"), bundled("gamma")]
@@ -284,11 +291,11 @@ class TestCheckCommand:
         assert "expected gamma=true" in err
 
     def test_expect_rejects_unknown_flag(self, capsys):
-        # every --expect is read before the report is printed
-        assert run_cli(capsys, "check", bundled("t"), "--expect", "trivial=true",
-                       "--expect", "shiny=true") == (
-            2, "", "finrel: error: --expect wants <flag>=<true|false> with flag one of full, "
-                   "idempotent, surjective, single_valued, trivial, gamma; got 'shiny=true'\n")
+        # the parser rejects it, so no report is printed
+        assert parser_error(capsys, "check", bundled("t"), "--expect", "trivial=true",
+                            "--expect", "shiny=true") == (
+            "finrel check: error: argument --expect: wants <flag>=<true|false> with flag one of "
+            "full, idempotent, surjective, single_valued, trivial, gamma; got 'shiny=true'")
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "check", "no-such-file.json")
@@ -428,8 +435,9 @@ class TestWitnessCommand:
     # int() reads each of these; the seed wants an optional '-' then ASCII digits
     @pytest.mark.parametrize("seed", ["0,1_0", "\u0663,0", "+0,1", " 0,1", "0,1 ", "0,"])
     def test_seed_wants_ascii_integers(self, capsys, seed):
-        assert run_cli(capsys, "witness", bundled("gamma"), "--lemma", "2", f"--seed={seed}") == (
-            2, "", f"finrel: error: --seed wants two integers 'x,y'; got {seed!r}\n")
+        assert parser_error(capsys, "witness", bundled("gamma"), "--lemma", "2",
+                            f"--seed={seed}") == (
+            f"finrel witness: error: argument --seed: wants two integers 'x,y'; got {seed!r}")
 
 
 class TestSurveyCommand:
@@ -681,8 +689,9 @@ class TestOpCommand:
         # on the identity on 11 points int() would read '1_0,\u0663' as points 10 and 3
         p = tmp_path / "identity.json"
         p.write_text(serialize_relation(identity(11), "json"))
-        assert run_cli(capsys, "op", "restrict", str(p), "--points", points) == (
-            2, "", f"finrel: error: --points wants comma-separated integers; got {points!r}\n")
+        assert parser_error(capsys, "op", "restrict", str(p), "--points", points) == (
+            "finrel op restrict: error: argument --points: wants comma-separated integers; "
+            f"got {points!r}")
         code, out, _ = run_cli(capsys, "op", "restrict", str(p), "--points", "10,3,")
         assert code == 0
         assert json.loads(out)["pairs"] == [[3, 3], [10, 10]]
@@ -693,9 +702,8 @@ class TestOpCommand:
         assert "--points" in err
 
     def test_compose_needs_two_files(self, capsys):
-        code, _, err = run_cli(capsys, "op", "compose", bundled("gamma"))
-        assert code == 2
-        assert "two" in err
+        assert parser_error(capsys, "op", "compose", bundled("gamma")) == (
+            "finrel op compose: error: the following arguments are required: G")
 
     def test_carrier_mismatch_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "op", "compose", bundled("gamma"), bundled("t"))
@@ -703,19 +711,29 @@ class TestOpCommand:
         assert "mismatch" in err
 
     @pytest.mark.parametrize("argv,message", [
-        (["inverse", bundled("gamma"), bundled("t")], "op inverse needs exactly one relation file"),
+        (["inverse", bundled("gamma"), bundled("t")],
+         f"finrel: error: unrecognized arguments: {bundled('t')}"),
         (["restrict", bundled("gamma"), bundled("t"), "--points", "0"],
-         "op restrict needs exactly one relation file"),
+         f"finrel: error: unrecognized arguments: {bundled('t')}"),
         (["restrict", bundled("gamma"), "--points", "x,1"],
-         "--points wants comma-separated integers; got 'x,1'"),
+         "finrel op restrict: error: argument --points: wants comma-separated integers; "
+         "got 'x,1'"),
         (["inverse", bundled("gamma"), "--points", "0"],
-         "--points applies only to op restrict, not op inverse"),
+         "finrel: error: unrecognized arguments: --points 0"),
         (["compose", bundled("gamma"), bundled("gamma"), "--points", "0,1"],
-         "--points applies only to op restrict, not op compose"),
+         "finrel: error: unrecognized arguments: --points 0,1"),
     ], ids=["inverse_two_files", "restrict_two_files", "restrict_bad_points",
             "inverse_points", "compose_points"])
     def test_usage_errors(self, capsys, argv, message):
-        assert run_cli(capsys, "op", *argv) == (2, "", f"finrel: error: {message}\n")
+        assert parser_error(capsys, "op", *argv) == message
+
+    @pytest.mark.parametrize("option", [["--form", "matrix"], ["--points", "0"]],
+                             ids=["form", "points"])
+    def test_options_follow_the_operation(self, capsys, option):
+        # each operation has its own parser; before the name, the option's value reads as one
+        line = parser_error(capsys, "op", *option, "restrict", bundled("gamma"), "--points", "0")
+        assert line.startswith("finrel op: error: argument operation: invalid choice: ")
+        assert option[1] in line
 
     def test_pairs_that_are_not_a_list(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -753,6 +771,21 @@ class TestUsageErrors:
     def test_no_arguments(self, capsys):
         code, _, err = run_cli(capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("argv,named", [
+        (["check", "MISSING", "--expect", "shiny=true"], "argument --expect: "),
+        (["witness", "MISSING", "--lemma", "2", "--seed", "0;1"], "argument --seed: "),
+        (["witness", "MISSING", "--lemma", "2"], "--lemma 2 requires --seed"),
+        (["op", "restrict", "MISSING", "--points", "x"], "argument --points: "),
+        (["op", "compose", "MISSING"], "arguments are required: G"),
+        (["op", "inverse", "MISSING", "--points", "0"], "unrecognized arguments: --points 0"),
+    ], ids=["expect", "seed", "lemma_two_without_seed", "points", "compose_one_file",
+            "inverse_points"])
+    def test_reported_before_any_file_is_read(self, tmp_path, capsys, argv, named):
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run_cli(capsys, *[missing if a == "MISSING" else a for a in argv])
+        assert (code, out) == (2, "")
+        assert named in err and "cannot read" not in err
 
 
 DOCUMENTS = st.one_of(
