@@ -7,22 +7,19 @@ Subcommands: ``check`` (predicate profile of a relation document),
 Exit codes: 0 success; 1 when a survey finds counterexamples or a
 ``check --expect`` assertion fails; 2 for input or usage errors.  Stdout is
 byte-identical across runs for fixed inputs; timing goes to stderr.
+
+Building the parser loads no library module.  Each command imports the
+modules it runs, and calls through them (``census.survey(...)``), so a
+patched module attribute is what it calls.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
-from typing import Any, Callable, NamedTuple, Optional, Sequence
-
-from .census import COUNTS, survey
-from .core import Relation, compose, inverse, properties, restrict
-from .io import RelationParseError, parse_relation, serialize_relation
-from .mahavier import count_threads, is_coordinatewise_chain, iter_threads
-from .witness import gamma_from_seed, gamma_witness, reflexive_pair_witness
+from collections.abc import Callable, Sequence
 
 SURVEY_CSV_HEADER = (
     "# finrel survey csv v1: "
@@ -36,9 +33,10 @@ EXPECT_FLAGS = ("full", "idempotent", "surjective", "single_valued", "trivial", 
 _INTEGER = "-?[0-9]+"
 
 
-def _argtype(pattern: str, wants: str, convert: Callable[[str], Any]) -> Callable[[str], Any]:
+def _argtype(pattern: str, wants: str,
+             convert: Callable[[str], object]) -> Callable[[str], object]:
     """An argparse type: a full match of ``pattern``, converted; any other value is a usage error."""
-    def parse(raw: str) -> Any:
+    def parse(raw: str) -> object:
         if not re.fullmatch(pattern, raw):
             raise argparse.ArgumentTypeError(f"wants {wants}; got {raw!r}")
         return convert(raw)
@@ -57,22 +55,29 @@ _expectation = _argtype(f"({'|'.join(EXPECT_FLAGS)})=(true|false)",
                         lambda raw: (raw.split("=")[0], raw.endswith("=true")))
 
 
-def _load_relation(path: str) -> Relation:
+def _load_relation(path: str):
+    """The relation in the document at ``path``."""
+    from . import io
+
     try:
         with open(path) as stream:
             text = stream.read()
     except OSError as exc:
-        raise RelationParseError(f"cannot read {path}: {exc}") from exc
-    return parse_relation(text)
+        raise io.RelationParseError(f"cannot read {path}: {exc}") from exc
+    return io.parse_relation(text)
 
 
-def _asdict(record: NamedTuple) -> dict:
+def _asdict(record: tuple) -> dict:
     """A record's fields by name, a nested record as a dict; a plain tuple stays a tuple."""
     return {k: _asdict(v) if hasattr(v, "_fields") else v for k, v in record._asdict().items()}
 
 
 def _cmd_check(args) -> int:
-    report = properties(_load_relation(args.file))
+    import json
+
+    from . import core
+
+    report = core.properties(_load_relation(args.file))
     # the record's fields as declared, with gamma_witness printed as gamma
     doc = {"gamma" if k == "gamma_witness" else k: v for k, v in _asdict(report).items()}
     print(json.dumps(doc, indent=2))
@@ -87,17 +92,21 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    import json
+
+    from . import io, witness
+
     if args.seed is not None and args.lemma != "2":
-        raise RelationParseError(f"--seed applies only to --lemma 2, not --lemma {args.lemma}")
+        raise io.RelationParseError(f"--seed applies only to --lemma 2, not --lemma {args.lemma}")
     if args.seed is None and args.lemma == "2":
-        raise RelationParseError("--lemma 2 requires --seed x,y")
+        raise io.RelationParseError("--lemma 2 requires --seed x,y")
     f = _load_relation(args.file)
     if args.lemma == "1":
-        out = _asdict(reflexive_pair_witness(f))
+        out = _asdict(witness.reflexive_pair_witness(f))
     elif args.lemma == "2":
-        out = _asdict(gamma_from_seed(f, *args.seed))
+        out = _asdict(witness.gamma_from_seed(f, *args.seed))
     else:
-        out = _asdict(gamma_witness(f))
+        out = _asdict(witness.gamma_witness(f))
         out = {"witness": out.pop("pair"), **out}
     print(json.dumps(out, indent=2))
     return 0
@@ -106,14 +115,18 @@ def _cmd_witness(args) -> int:
 def _cmd_survey(args) -> int:
     if args.workers < 1:
         raise ValueError("workers must be positive")
+    from . import census
+
     mode = "up_to_iso" if args.up_to_iso else "all"
-    report = survey(args.n, mode=mode)
+    report = census.survey(args.n, mode=mode)
     print(f"# survey n={report.n} elapsed {report.elapsed:.2f}s", file=sys.stderr)
     if args.json:
+        import json
+
         doc = {
             "n": report.n,
             "mode": report.mode,
-            "counts": {name: getattr(report, name) for name in COUNTS},
+            "counts": {name: getattr(report, name) for name in census.COUNTS},
             "counterexamples": list(report.counterexamples),
         }
         if report.counterexample_total:  # absent on a clean census, to keep its stdout
@@ -130,24 +143,28 @@ def _cmd_survey(args) -> int:
 
 
 def _cmd_mahavier(args) -> int:
+    from . import core, mahavier
+
     f = _load_relation(args.file)
     if args.transpose:
-        f = inverse(f)
+        f = core.inverse(f)
     if args.count_only:
         # Decimal prints counts past the interpreter's 4300-digit limit on
         # str(int); imported here to keep it out of every start-up
         from decimal import Decimal
 
-        print(Decimal(count_threads(f, args.length)))
+        print(Decimal(mahavier.count_threads(f, args.length)))
         return 0
-    threads = iter_threads(f, args.length)
+    threads = mahavier.iter_threads(f, args.length)
     if args.json:
+        import json
+
         threads = tuple(threads)
         doc = {
             "n": f.n,
             "length": args.length,
             "count": len(threads),
-            "is_coordinatewise_chain": is_coordinatewise_chain(threads),
+            "is_coordinatewise_chain": mahavier.is_coordinatewise_chain(threads),
             "threads": [list(t) for t in threads],
         }
         print(json.dumps(doc, indent=2))
@@ -158,14 +175,16 @@ def _cmd_mahavier(args) -> int:
 
 
 def _cmd_op(args) -> int:
+    from . import core, io
+
     f = _load_relation(args.f)
     if args.operation == "compose":
-        result = compose(f, _load_relation(args.g))
+        result = core.compose(f, _load_relation(args.g))
     elif args.operation == "inverse":
-        result = inverse(f)
+        result = core.inverse(f)
     else:
-        result = restrict(f, args.points)
-    text = serialize_relation(result, form=args.form)
+        result = core.restrict(f, args.points)
+    text = io.serialize_relation(result, form=args.form)
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
     return 0
 
@@ -233,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv: Optional[Sequence[str]] = None) -> int:
+def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -61,12 +61,14 @@ def _parse_json(text: str) -> Relation:
 
 
 def _parse_matrix(text: str) -> Relation:
-    lines = [cells for cells in map(str.strip, text.splitlines()) if cells]
+    # each nonblank line with its number among all lines, blank ones counted
+    lines = [(x, cells) for x, cells in enumerate(map(str.strip, text.splitlines()), start=1)
+             if cells]
     if not lines:
         raise RelationParseError("empty document: carrier must be nonempty")
     n = len(lines)
     rows = []
-    for x, cells in enumerate(lines, start=1):
+    for x, cells in lines:
         if len(cells) != n:
             raise RelationParseError(
                 f"line {x}: expected {n} columns to match {n} rows, got {len(cells)}")

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 from importlib import resources
 from pathlib import Path
 from decimal import Decimal
@@ -115,6 +116,9 @@ class TestParse:
         ("10\n0１", "line 2, column 2: expected '0' or '1'"),
         ("100\n010\n+01", "line 3, column 1: expected '0' or '1'"),
         ("10\n1", "line 2: expected 2 columns to match 2 rows, got 1"),
+        # blank lines count in the line numbers
+        ("\n\n01\n1x\n", "line 4, column 2: expected '0' or '1'"),
+        ("10\n\n1", "line 3: expected 2 columns to match 2 rows, got 1"),
     ])
     def test_rejection_messages(self, text, message):
         with pytest.raises(RelationParseError) as info:
@@ -552,15 +556,15 @@ class TestSurveyCommand:
         assert err.endswith(f"error: argument --workers: wants an integer; got {workers!r}\n")
 
     def test_counterexamples_flip_exit_code(self, capsys, monkeypatch):
-        import finrel.cli as cli_mod
-        real = cli_mod.survey
+        import finrel.census as census_mod
+        real = census_mod.survey
 
         def doctored(n, mode="all"):
             report = real(n, mode=mode)
             return report._replace(counterexamples=({"n": n, "pairs": [], "reason": "forced"},),
                                    counterexample_total=1)
 
-        monkeypatch.setattr(cli_mod, "survey", doctored)
+        monkeypatch.setattr(census_mod, "survey", doctored)
         code, out, _ = run_cli(capsys, "survey", "--n", "2")
         assert code == 1
         assert out.splitlines()[1].endswith(",1")
@@ -865,6 +869,61 @@ class TestDependencies:
         done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "[]"
+
+    @staticmethod
+    def start(probe: str, *argv: str) -> str:
+        """Stdout of ``probe`` run in a fresh ``python3 -S``; site hooks may import anything."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-S", "-c", probe, *argv], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_start_loads_only_the_cli(self):
+        probe = ("import sys, finrel, finrel.cli; finrel.cli.build_parser(); "
+                 "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'finrel'), "
+                 "sorted({'json', 'typing'} & set(sys.modules)))")
+        assert self.start(probe) == "['finrel', 'finrel.cli'] []\n"
+
+    @pytest.mark.parametrize("argv,absent", [
+        (["op", "inverse", bundled("gamma")], {"finrel.census", "finrel.mahavier", "finrel.witness"}),
+        (["survey", "--n", "2"], {"finrel.io", "finrel.mahavier"}),
+    ], ids=["op-inverse", "survey"])
+    def test_each_command_loads_only_its_modules(self, argv, absent):
+        probe = ("import sys; from finrel.cli import run; code = run(sys.argv[1:]); "
+                 "print(code, *sorted(m for m in sys.modules if m.startswith('finrel.')))")
+        code, *loaded = self.start(probe, *argv).splitlines()[-1].split()
+        assert code == "0"
+        assert "finrel.core" in loaded and not absent & set(loaded)
+
+    def test_package_binds_every_public_name_on_first_use(self):
+        probe = textwrap.dedent("""\
+            import sys, finrel
+
+            def unknown():
+                try:
+                    finrel.nope
+                except AttributeError as exc:
+                    return str(exc)
+
+            assert set(finrel.__all__) <= set(dir(finrel))
+            assert unknown() == "module 'finrel' has no attribute 'nope'"
+            assert not set(finrel.__all__) & set(vars(finrel))
+            names = {}
+            exec("from finrel import *", names)
+            del names["__builtins__"]
+            assert sorted(names) == sorted(finrel.__all__) and len(names) == 30
+            # bound once: later reads never reach a module __getattr__
+            assert set(finrel.__all__) <= set(vars(finrel)) and "__getattr__" not in vars(finrel)
+            for name in finrel.__all__:
+                obj = getattr(finrel, name)
+                assert obj is names[name] is getattr(sys.modules[obj.__module__], name), name
+            assert set(finrel.__all__) <= set(dir(finrel))
+            assert unknown() == "module 'finrel' has no attribute 'nope'"
+            print("ok")
+        """)
+        assert self.start(probe) == "ok\n"
 
     def test_module_entry_point(self):
         src = Path(__file__).resolve().parents[1] / "src"
