@@ -377,6 +377,15 @@ class TestWitnessCommand:
         assert code == 2
         assert "--seed" in err
 
+    def test_stage_two(self, capsys):
+        code, out, _ = run_cli(capsys, "witness", bundled("gamma"),
+                               "--lemma", "2", "--seed", "0,1")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["kind"] == "gamma_from_seed"
+        assert doc["seed"] == [0, 1]
+        assert doc["result"] == [0, 1]
+
     def test_restriction_reported(self, tmp_path, capsys):
         p = tmp_path / "ns.json"
         p.write_text('{"n":3,"pairs":[[0,0],[0,1],[1,1],[2,0],[2,1]]}')
@@ -417,6 +426,14 @@ class TestWitnessCommand:
         }
         assert (code, err) == (0, "")
         assert out == json.dumps(expected, indent=2) + "\n"
+
+    def test_lemma_texts(self, capsys):
+        _, out, _ = run_cli(capsys, "witness", bundled("gamma"), "--lemma", "1")
+        assert out == json.dumps({"kind": "reflexive_pair", "chain": [], "seed": None,
+                                  "result": [1, 0]}, indent=2) + "\n"
+        _, out, _ = run_cli(capsys, "witness", bundled("gamma"), "--lemma", "2", "--seed", "0,1")
+        assert out == json.dumps({"kind": "gamma_from_seed", "chain": [1], "seed": [0, 1],
+                                  "result": [0, 1]}, indent=2) + "\n"
 
     def test_negative_seed_is_out_of_range(self, capsys):
         code, out, err = run_cli(capsys, "witness", bundled("gamma"),
@@ -758,9 +775,21 @@ class TestDependencies:
     def test_start_loads_only_the_cli(self):
         probe = ("import sys, finrel, finrel.cli; finrel.cli.build_parser(); "
                  "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'finrel'), "
-                 "sorted({'json', 'typing', 'numpy', 'concurrent.futures', 'dataclasses', "
-                 "'inspect', 'pathlib'} & set(sys.modules)))")
+                 "sorted({'json', 'typing'} & set(sys.modules)))")
         assert self.start(probe) == "['finrel', 'finrel.cli'] []\n"
+
+    def test_import_loads_no_numpy(self):
+        probe = "import sys, finrel, finrel.cli; print('numpy' in sys.modules)"
+        assert self.start(probe) == "False\n"
+
+    def test_import_loads_no_thread_pool(self):
+        probe = "import sys, finrel, finrel.cli; print('concurrent.futures' in sys.modules)"
+        assert self.start(probe) == "False\n"
+
+    def test_start_loads_no_dataclasses_inspect_or_pathlib(self):
+        probe = ("import sys, finrel, finrel.cli; finrel.cli.build_parser(); "
+                 "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))")
+        assert self.start(probe) == "[]\n"
 
     @pytest.mark.parametrize("argv,absent", [
         (["op", "inverse", bundled("gamma")], {"finrel.census", "finrel.mahavier", "finrel.witness"}),
