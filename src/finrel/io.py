@@ -6,6 +6,11 @@ humans (row = source point, column = target point).  Parsing either form
 yields the same packed relation; serialization round-trips.  Each parser
 checks every pair or cell once and builds its rows itself, so it returns a
 ``Relation._trusted``; the JSON writer prints what ``json.dumps`` would.
+
+On at most 8 points a row is one byte, and three tables built at import
+look it up: ``_DIGITS[r]`` lists its points as text, ``_CELLS[r]`` is its line
+on 8 points, and ``_ROW_OF`` maps each well-formed line of 1-8 cells to its
+row.  Wider carriers, and malformed lines, take the per-pair and per-cell path.
 """
 
 from __future__ import annotations
@@ -17,6 +22,14 @@ from .core import Relation
 # largest carrier a JSON document may declare: n pairs can make rows of n*n/2
 # bits in all, 1.3 MB from a 0.06 MB document at 4,096 points
 MAX_CARRIER = 4_096
+
+# built by doubling: step k extends the rows on k points to those on k + 1, so
+# the first n cells of _CELLS[r] are the line of r on n points, for r < 2**n
+_DIGITS, _CELLS, _ROW_OF = [()], [""], {}
+for _k in range(8):
+    _DIGITS += [d + (str(_k),) for d in _DIGITS]
+    _CELLS = [c + "0" for c in _CELLS] + [c + "1" for c in _CELLS]
+    _ROW_OF.update(zip(_CELLS, range(len(_CELLS))))
 
 
 class RelationParseError(ValueError):
@@ -72,11 +85,13 @@ def _parse_matrix(text: str) -> Relation:
         if len(cells) != n:
             raise RelationParseError(
                 f"line {x}: expected {n} columns to match {n} rows, got {len(cells)}")
+        # only after the width check, as _ROW_OF holds lines of every width up to 8
+        row = _ROW_OF.get(cells) if n <= 8 else None
         # strip("01") leaves any other character; int() also reads "_" and non-ASCII digits
-        if cells.strip("01"):
+        if row is None and cells.strip("01"):
             y = next(y for y, ch in enumerate(cells) if ch not in "01")
             raise RelationParseError(f"line {x}, column {y + 1}: expected '0' or '1'")
-        rows.append(int(cells[::-1], 2))
+        rows.append(int(cells[::-1], 2) if row is None else row)
     return Relation._trusted(n, tuple(rows))
 
 
@@ -89,11 +104,17 @@ def parse_relation(text: str) -> Relation:
 
 def serialize_relation(f: Relation, form: str = "json") -> str:
     """Render a relation; ``parse_relation`` inverts this exactly."""
+    n = f.n
     if form == "json":
-        # the text json.dumps gives for {"n": n, "pairs": [[x, y], ...]}, without the dict
-        body = ", ".join([f"[{x}, {y}]" for x, y in f.pairs()])
-        return f'{{"n": {f.n}, "pairs": [{body}]}}'
+        # the text json.dumps gives for {"n": n, "pairs": [[x, y], ...]}, without the dict;
+        # a piece per row on at most 8 points; on sparse wide rows one per pair is cheaper
+        body = ", ".join([f"[{x}, " + f"], [{x}, ".join(_DIGITS[row]) + "]"
+                          for x, row in enumerate(f.rows) if row] if n <= 8
+                         else [f"[{x}, {y}]" for x, y in f.pairs()])
+        return f'{{"n": {n}, "pairs": [{body}]}}'
     if form == "matrix":
-        cells = f"0{f.n}b"  # bit y of a row is column y, counted from the left
+        if n <= 8:
+            return "".join([_CELLS[row][:n] + "\n" for row in f.rows])
+        cells = f"0{n}b"  # bit y of a row is column y, counted from the left
         return "".join([format(row, cells)[::-1] + "\n" for row in f.rows])
     raise ValueError(f"unknown form {form!r}")

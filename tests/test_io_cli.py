@@ -119,6 +119,17 @@ class TestParse:
         # blank lines count in the line numbers
         ("\n\n01\n1x\n", "line 4, column 2: expected '0' or '1'"),
         ("10\n\n1", "line 3: expected 2 columns to match 2 rows, got 1"),
+        # the width check comes first: a line of valid cells but the wrong width fails it,
+        # though the table of lines on at most 8 points holds that line
+        ("10000\n01000\n0010\n00010\n00001",
+         "line 3: expected 5 columns to match 5 rows, got 4"),
+        ("\n".join(["1000000"] * 3 + ["10000000"] + ["0000001"] * 3),
+         "line 4: expected 7 columns to match 7 rows, got 8"),
+        # lines wider than 8 cells
+        ("\n".join(["0" * 12] * 4 + ["0" * 11 + "x"] + ["1" * 12] * 7),
+         "line 5, column 12: expected '0' or '1'"),
+        ("\n".join(["0" * 12] * 11 + ["1" * 11]),
+         "line 12: expected 12 columns to match 12 rows, got 11"),
     ])
     def test_rejection_messages(self, text, message):
         with pytest.raises(RelationParseError) as info:
@@ -173,6 +184,33 @@ class TestSerialize:
             f = Relation(n, tuple(rng.randrange(0, 1 << n) for _ in range(n)))
             assert serialize_relation(f, "json") == reference_json(f)
             assert serialize_relation(f, "matrix") == reference_matrix(f)
+
+    def test_every_row_on_at_most_8_points_first_and_last(self):
+        # the writers and the reader look each row on n <= 8 points up in a table
+        # over one byte; every row value r < 2**n, as the first and as the last row
+        for n in range(1, 9):
+            full = (1 << n) - 1
+            for r in range(1 << n):
+                others = (full ^ r,) * (n - 1)
+                for f in (Relation(n, (r, *others)), Relation(n, (*others, r))):
+                    as_json = serialize_relation(f, "json")
+                    as_matrix = serialize_relation(f, "matrix")
+                    assert as_json == reference_json(f)
+                    assert as_matrix == reference_matrix(f)
+                    assert parse_relation(as_json) == parse_relation(as_matrix) == f
+
+    @pytest.mark.parametrize("n", [9, 16, 17, 64])
+    def test_both_forms_on_rows_past_one_byte(self, n):
+        rng = Random(n)
+        for _ in range(20):
+            rows = [rng.randrange(1 << n) for _ in range(n)]
+            rows[:3] = 0, (1 << n) - 1, rng.randrange(256)  # empty, full, within one byte
+            rng.shuffle(rows)
+            f = Relation(n, rows)
+            for form, reference in (("json", reference_json), ("matrix", reference_matrix)):
+                text = serialize_relation(f, form)
+                assert text == reference(f)
+                assert parse_relation(text) == f
 
     def test_json_of_a_sparse_relation_on_many_points(self):
         # the writer's cost follows the pairs, not the n * n cells
