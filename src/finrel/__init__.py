@@ -57,10 +57,9 @@ def __getattr__(name: str):
     times slower."""
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
+    package = __import__(__name__, fromlist=tuple(_HOMES))
     for module, names in _HOMES.items():
-        home = import_module(f"{__name__}.{module}")
+        home = getattr(package, module)
         for public in names:
             globals()[public] = getattr(home, public)
     globals().pop("__getattr__", None)

@@ -46,7 +46,8 @@ import functools
 import itertools
 import math
 import time
-from typing import Iterator, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 
 from .core import (
     Relation,
@@ -167,22 +168,13 @@ def _is_canonical(rows: Sequence[int], inv: Sequence[int]) -> bool:
     return all(_relabel(rows, perm) >= rows for perm in _run_permutations(runs))
 
 
-class _SurveyFields(NamedTuple):
-    n: int
-    mode: str
-    full: int
-    idempotent_full: int
-    nontrivial_idempotent: int
-    trivial_idempotent: int
-    gamma_idempotent: int
-    surjective_idempotent: int
-    identity_count: int
-    counterexamples: tuple[dict, ...]
-    counterexample_total: int
-    elapsed: float
+# the counts of a report in field order, which is the order of the --json "counts"
+COUNTS = ("full", "idempotent_full", "nontrivial_idempotent", "trivial_idempotent",
+          "gamma_idempotent", "surjective_idempotent", "identity_count")
 
 
-class SurveyReport(_SurveyFields):
+class SurveyReport(namedtuple("SurveyReport", ("n", "mode", *COUNTS, "counterexamples",
+                                               "counterexample_total", "elapsed"))):
     """Aggregated result of one exhaustive scan.
 
     ``counterexamples`` holds serialized relations that violated any checked
@@ -206,11 +198,6 @@ class SurveyReport(_SurveyFields):
     @classmethod
     def _make(cls, iterable) -> "SurveyReport":
         return cls(*iterable)
-
-
-# the counts of a report in field order, which is the order of the --json "counts"
-COUNTS = ("full", "idempotent_full", "nontrivial_idempotent", "trivial_idempotent",
-          "gamma_idempotent", "surjective_idempotent", "identity_count")
 
 
 class _Tally:

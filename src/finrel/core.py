@@ -19,7 +19,8 @@ every pair or cell before building a row.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 
 
 class PreconditionError(ValueError):
@@ -224,7 +225,7 @@ def is_single_valued(f: Relation) -> bool:
 
 # The packed cores of three predicates: the census calls them on the rows of
 # each relation, and the public predicates wrap them.
-def _nontriviality(rows: Sequence[int]) -> Optional[tuple[int, int]]:
+def _nontriviality(rows: Sequence[int]) -> tuple[int, int] | None:
     for x, row in enumerate(rows):
         for a in _BITS[row] if row < 256 else iter_bits(row):
             if rows[a] != 1 << a:  # f(a) != {a}
@@ -232,7 +233,7 @@ def _nontriviality(rows: Sequence[int]) -> Optional[tuple[int, int]]:
     return None
 
 
-def _gamma(rows: Sequence[int]) -> Optional[tuple[int, int]]:
+def _gamma(rows: Sequence[int]) -> tuple[int, int] | None:
     for x, row in enumerate(rows):
         if (row >> x) & 1:
             rest = row & ~(1 << x)
@@ -242,7 +243,7 @@ def _gamma(rows: Sequence[int]) -> Optional[tuple[int, int]]:
     return None
 
 
-def _two_point(rows: Sequence[int]) -> Optional[tuple[int, int]]:
+def _two_point(rows: Sequence[int]) -> tuple[int, int] | None:
     for x, row in enumerate(rows):
         if (row >> x) & 1:
             rest = row & ~(1 << x)
@@ -251,7 +252,7 @@ def _two_point(rows: Sequence[int]) -> Optional[tuple[int, int]]:
     return None
 
 
-def nontriviality_witness(f: Relation) -> Optional[tuple[int, int]]:
+def nontriviality_witness(f: Relation) -> tuple[int, int] | None:
     """Least (x, a) with a in f(x) and f(a) != {a}, or None if f is trivial.
 
     Triviality means the restriction of f to any successor set f(x) is the
@@ -267,32 +268,26 @@ def is_trivial(f: Relation) -> bool:
     return nontriviality_witness(f) is None
 
 
-def satisfies_gamma(f: Relation) -> Optional[tuple[int, int]]:
+def satisfies_gamma(f: Relation) -> tuple[int, int] | None:
     """Least distinct (x, y) with (x,x), (x,y), (y,y) all in f, else None."""
     return _gamma(f.rows)
 
 
-def two_point_witness(f: Relation) -> Optional[tuple[int, int]]:
+def two_point_witness(f: Relation) -> tuple[int, int] | None:
     """Least distinct (x, y) with (x,x) and (x,y) in f, else None."""
     return _two_point(f.rows)
 
 
-class PropertyReport(NamedTuple):
+class PropertyReport(namedtuple("PropertyReport", (
+        "n", "full", "idempotent", "surjective", "single_valued", "trivial",
+        "gamma_witness", "two_point_witness", "nontriviality_witness"))):
     """The full predicate profile of one relation, with witnesses.
 
     ``trivial`` is None when the relation is not full, since triviality is
     only defined for full relations.
     """
 
-    n: int
-    full: bool
-    idempotent: bool
-    surjective: bool
-    single_valued: bool
-    trivial: Optional[bool]
-    gamma_witness: Optional[tuple[int, int]]
-    two_point_witness: Optional[tuple[int, int]]
-    nontriviality_witness: Optional[tuple[int, int]]
+    __slots__ = ()
 
     @property
     def gamma(self) -> bool:

@@ -20,7 +20,7 @@ down-sets of the chain: m+1 of them, totally ordered coordinatewise
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .core import _BITS, Relation, _inverse_rows, iter_bits
 

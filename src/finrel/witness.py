@@ -30,7 +30,8 @@ them directly; only the public functions build records, from the same cores.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .core import (
     PreconditionError,
@@ -47,7 +48,7 @@ KIND_REFLEXIVE_PAIR = "reflexive_pair"
 KIND_GAMMA_FROM_SEED = "gamma_from_seed"
 
 
-class WitnessChain(NamedTuple):
+class WitnessChain(namedtuple("WitnessChain", ("kind", "chain", "seed", "result"))):
     """Trace of one chain construction.
 
     ``chain`` lists the visited points in order (empty when the result was
@@ -57,13 +58,11 @@ class WitnessChain(NamedTuple):
     a seeded gamma extension.
     """
 
-    kind: str
-    chain: tuple[int, ...]
-    seed: Optional[tuple[int, int]]
-    result: tuple[int, int]
+    __slots__ = ()
 
 
-class GammaWitness(NamedTuple):
+class GammaWitness(namedtuple("GammaWitness", ("pair", "reflexive_stage", "extension_stage",
+                                               "restricted_to"), defaults=(None,))):
     """Result of the full pipeline: the gamma pair plus both chain traces.
 
     ``restricted_to`` lists the range of f in ascending order when f is not
@@ -71,10 +70,7 @@ class GammaWitness(NamedTuple):
     Chains and pair are always in f's own labels.
     """
 
-    pair: tuple[int, int]
-    reflexive_stage: WitnessChain
-    extension_stage: WitnessChain
-    restricted_to: Optional[tuple[int, ...]] = None
+    __slots__ = ()
 
 
 def _require(f: Relation, op: str, nontrivial: bool = True) -> None:

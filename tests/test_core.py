@@ -10,6 +10,7 @@ from hypothesis import given, settings
 import finrel
 import oracles as o
 from finrel import (
+    GammaWitness,
     PreconditionError,
     Relation,
     SurveyReport,
@@ -532,6 +533,22 @@ class TestRecords:
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
         assert repr(record) == text
+
+    @pytest.mark.parametrize("build,text", RECORDS)
+    def test_survives_pickle_and_copy(self, build, text):
+        record = build()
+        for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record)):
+            assert type(twin) is type(record) and twin == record and repr(twin) == text
+
+    def test_gamma_witness_defaults_restricted_to_none(self):
+        assert GammaWitness._field_defaults == {"restricted_to": None}
+
+    def test_survey_report_checks_its_counts_on_unpickle(self):
+        fields = list(self.RECORDS[-1][0]())
+        fields[SurveyReport._fields.index("trivial_idempotent")] = 4
+        forged = pickle.dumps(tuple.__new__(SurveyReport, fields))  # skips the check
+        with pytest.raises(AssertionError, match="does not split"):
+            pickle.loads(forged)
 
     def test_survey_report_checks_its_counts_on_replace(self):
         report = self.RECORDS[-1][0]()

@@ -832,13 +832,18 @@ class TestDependencies:
     @pytest.mark.parametrize("argv,absent", [
         (["op", "inverse", bundled("gamma")], {"finrel.census", "finrel.mahavier", "finrel.witness"}),
         (["survey", "--n", "2"], {"finrel.io", "finrel.mahavier"}),
-    ], ids=["op-inverse", "survey"])
+        (["check", bundled("gamma")], {"finrel.census", "finrel.mahavier", "finrel.witness"}),
+        (["witness", bundled("gamma")], {"finrel.census", "finrel.mahavier"}),
+        (["mahavier", bundled("gamma"), "--length", "3", "--count-only"],
+         {"finrel.census", "finrel.witness"}),
+    ], ids=["op-inverse", "survey", "check", "witness", "mahavier"])
     def test_each_command_loads_only_its_modules(self, argv, absent):
         probe = ("import sys; from finrel.cli import run; code = run(sys.argv[1:]); "
-                 "print(code, *sorted(m for m in sys.modules if m.startswith('finrel.')))")
+                 "print(code, *sorted(m for m in sys.modules "
+                 "if m.startswith('finrel.') or m == 'typing'))")
         code, *loaded = self.start(probe, *argv).splitlines()[-1].split()
         assert code == "0"
-        assert "finrel.core" in loaded and not absent & set(loaded)
+        assert "finrel.core" in loaded and not (absent | {"typing"}) & set(loaded)
 
     def test_package_binds_every_public_name_on_first_use(self):
         probe = textwrap.dedent("""\
@@ -864,6 +869,7 @@ class TestDependencies:
                 assert obj is names[name] is getattr(sys.modules[obj.__module__], name), name
             assert set(finrel.__all__) <= set(dir(finrel))
             assert unknown() == "module 'finrel' has no attribute 'nope'"
+            assert not {"typing", "importlib"} & set(sys.modules)
             print("ok")
         """)
         assert self.start(probe) == "ok\n"
