@@ -109,6 +109,26 @@ class TestParse:
         ('{"n": 2, "pairs": [[0, 0], [-1, 1]]}', "pairs[1]: point out of range for carrier of size 2"),
         ('{"n": 2, "pairs": [[1, 0], [0, 1], [1, 0]]}', "pairs[2]: duplicate pair [1, 0]"),
         ('{"n": 2, "pairs": [[1, 0], [1, 1], [1, 1], [9, 9]]}', "pairs[2]: duplicate pair [1, 1]"),
+        # json.dumps's own layout on at most 8 points, which is read without json.loads
+        # until a record misses; then json.loads reads the text as given
+        ('{"n": 3, "pairs": [[0, 0], [1, 2], [0, 0]]}', "pairs[2]: duplicate pair [0, 0]"),
+        ('{"n": 3, "pairs": [[0, 0], [3, 1]]}', "pairs[1]: point out of range for carrier of size 3"),
+        ('{"n": 3, "pairs": [[0, 0], [1, 3]]}', "pairs[1]: point out of range for carrier of size 3"),
+        ('{"n": 8, "pairs": [[0, 0], [7, 8]]}', "pairs[1]: point out of range for carrier of size 8"),
+        ('{"n": 8, "pairs": [[9, 0]]}', "pairs[0]: point out of range for carrier of size 8"),
+        ('{"n": 0, "pairs": [[0, 0]]}', "field 'n': carrier must be nonempty"),
+        ('{"n": 8, "pairs": [%s, [3, 5]]}' % ", ".join(f"[{x}, {y}]" for x in range(8) for y in range(8)),
+         "pairs[64]: duplicate pair [3, 5]"),
+        ('{"n": 4, "pairs": [[0, 0], [1, \u0663]]}',
+         "malformed JSON: Expecting value: line 1 column 32 (char 31)"),
+        ('{"n": 4, "pairs": [[0, 0], [1, \ud800]]}',
+         "malformed JSON: Expecting value: line 1 column 32 (char 31)"),
+        ('\n {"n": 4, "pairs": [[0, 0], [1, \u0663]]}',
+         "malformed JSON: Expecting value: line 2 column 33 (char 33)"),
+        ('\x0c{"n": 2, "pairs": [[0, 0], [1, 1]]}',
+         "malformed JSON: Expecting value: line 1 column 1 (char 0)"),
+        ('{"pairs": [[0, 1], [1, 1], [0, 1]], "n": 2}', "pairs[2]: duplicate pair [0, 1]"),
+        ('{"n": 2, "pairs": [[0,1], [1, 1], [0,1]]}', "pairs[2]: duplicate pair [0, 1]"),
         ("1x0\n010\n001", "line 1, column 2: expected '0' or '1'"),
         ("1_0\n010\n001", "line 1, column 2: expected '0' or '1'"),
         ("1 0\n010\n001", "line 1, column 2: expected '0' or '1'"),
@@ -140,6 +160,64 @@ class TestParse:
     def test_matrix_with_crlf_line_ends(self):
         assert parse_relation("10\r\n01\r\n") == identity(2)
         assert parse_relation("  10 \n\n 01\t\n") == identity(2)
+
+    def test_one_digit_pairs_on_nine_points(self):
+        f = parse_relation('{"n": 9, "pairs": [[0, 1], [8, 8]]}')
+        assert f == Relation.from_pairs(9, [(0, 1), (8, 8)])
+
+    def test_dumps_layout_agrees_with_the_compact_one(self):
+        # the compact separators never match the record layout, so they take the
+        # general path; both must give the same rows or the same message
+        def outcome(text):
+            try:
+                f = parse_relation(text)
+            except RelationParseError as exc:
+                return str(exc)
+            return f.n, f.rows
+
+        rng = Random(30)
+        kinds = set()
+        for _ in range(2000):
+            n = rng.randint(1, 9)
+            pairs = [[rng.randrange(n + (rng.random() < 0.1)) for _ in "xy"]
+                     for _ in range(rng.randint(1, 2 * n))]
+            if rng.random() < 0.2:
+                pairs.append(rng.choice(pairs))
+            rng.shuffle(pairs)
+            doc = {"n": n, "pairs": pairs}
+            got = outcome(json.dumps(doc))
+            assert got == outcome(json.dumps(doc, separators=(",", ":")))
+            kinds.add(got.split("]: ")[1][:9] if isinstance(got, str) else n)
+        assert kinds == {*range(1, 10), "duplicate", "point out"}
+
+
+class TestJsonRecords:
+    """Texts laid out as json.dumps writes them, on at most 8 points, skip json.loads."""
+
+    @pytest.fixture(autouse=True)
+    def no_json_loads(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.loads was called")
+        monkeypatch.setattr(json, "loads", refuse)
+
+    def test_bundled_documents_as_read_from_disk(self, t_relation):
+        for name, f in (("gamma", gamma_relation()), ("t", t_relation)):
+            with open(bundled(name)) as file:
+                text = file.read()
+            assert text.endswith("\n")
+            assert parse_relation(text) == f
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_written_and_shuffled_texts(self, n):
+        rng = Random(n)
+        for _ in range(100):
+            rows = [rng.randrange(1 << n) for _ in range(n)]
+            rows[rng.randrange(n)] |= 1 << rng.randrange(n)  # at least one pair
+            f = Relation(n, rows)
+            pairs = [list(p) for p in f.pairs()]
+            rng.shuffle(pairs)
+            assert parse_relation(serialize_relation(f, "json")) == f
+            assert parse_relation(json.dumps({"n": n, "pairs": pairs})) == f
 
 
 def reference_json(f):
