@@ -64,13 +64,13 @@ def _parse_json(text: str) -> Relation:
         if not mask & ~_IN_RANGE[n] and mask.bit_count() == len(bits):
             return Relation._trusted(n, tuple(mask.to_bytes(n, "little")))
     try:
+        # an object if it parses: parse_relation sends only texts that lstrip() to
+        # "{", and str.lstrip() strips all of JSON's whitespace and more
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise RelationParseError(f"malformed JSON: {exc}") from exc
     except RecursionError as exc:
         raise RelationParseError("malformed JSON: nested too deeply") from exc
-    if not isinstance(doc, dict):
-        raise RelationParseError("top-level JSON value must be an object")
     if "n" not in doc:
         raise RelationParseError("missing field 'n'")
     if "pairs" not in doc:

@@ -11,11 +11,11 @@ A thread set is a plain tuple of threads in lexicographic order.
 without building any.  The engine sums up a prefix by one state, the mask
 of points allowed as its next coordinate.  It starts from all points, and
 placing v leaves the allowed points that map onto v.  States are numbered
-in the order first found, the start 0, one round per coordinate, and
-discovery stops at the first round that finds no new state.  The threads
-of the canonical gamma relation on two points are the indicator tuples of
-down-sets of the chain: m+1 of them, totally ordered coordinatewise
-(``is_coordinatewise_chain``).
+in the order first found, the start 0, one round per coordinate; a move
+of the last round leaves no point, and discovery stops at the first round
+that finds no new state.  The threads of the canonical gamma relation on
+two points are the indicator tuples of down-sets of the chain: m+1 of
+them, totally ordered coordinatewise (``is_coordinatewise_chain``).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from collections.abc import Iterable, Iterator
 from .core import _BITS, Relation, _inverse_rows, iter_bits
 
 MAX_LENGTH = 1 << 20
+MAX_MOVES = 1 << 21  # moves a state graph may hold; at about 75 bytes each, 160 MB
 
 Thread = tuple[int, ...]
 
@@ -34,29 +35,30 @@ def gamma_relation() -> Relation:
     return Relation(2, (0b11, 0b10))
 
 
-def _check_length(m: int) -> None:
+def _moves(f: Relation, m: int) -> list[list[tuple[int, int]]]:
+    """The moves (v, index of the next state) of every state, by index: the
+    engine's one entry, so it checks m and keeps the graph to MAX_MOVES moves."""
     if type(m) is not int:
         raise ValueError(f"chain length is a {type(m).__name__}, not an int")
     if m < 1:
         raise ValueError("chain length must be positive")
     if m > MAX_LENGTH:
         raise ValueError(f"chain length {m} exceeds the cap {MAX_LENGTH}")
-
-
-def _moves(f: Relation, m: int) -> list[list[tuple[int, int]]]:
-    """The moves (v, index of the next state) of every state, by index; a state
-    first reached at length m gets none, as no prefix there goes on."""
     inv = _inverse_rows(f.rows)
     states = [(1 << f.n) - 1]
     index = {states[0]: 0}
     moves: list[list[tuple[int, int]]] = []
-    for _ in range(m):
+    budget = MAX_MOVES
+    for depth in range(m):
         if len(moves) == len(states):
-            return moves
+            break
         for allowed in states[len(moves):]:
+            budget -= allowed.bit_count()
+            if budget < 0:
+                raise ValueError(f"chain length {m} needs more moves than the budget {MAX_MOVES}")
             out = []
             for v in _BITS[allowed] if allowed < 256 else iter_bits(allowed):
-                nxt = allowed & inv[v]
+                nxt = allowed & inv[v] if depth < m - 1 else 0
                 s = index.get(nxt)
                 if s is None:
                     s = index[nxt] = len(states)
@@ -72,10 +74,9 @@ def iter_threads(f: Relation, m: int) -> Iterator[Thread]:
     A depth-first walk with an explicit stack over the states of the module
     docstring that steps only into states able to take the rest of the chain.
     """
-    _check_length(m)
     moves = _moves(f, m)
-    # tails: the most coordinates each state can still take, m for those that
-    # can take m; round r finds the states that can take r but not r + 1
+    # tails: the most coordinates each state can still take in the graph, m for
+    # those that can take m; round r finds the states that can take r but not r + 1
     tails = [m] * len(moves)
     for r in range(m):
         dead = [s for s, out in enumerate(moves)
@@ -104,7 +105,6 @@ def iter_threads(f: Relation, m: int) -> Iterator[Thread]:
 
 def count_threads(f: Relation, m: int) -> int:
     """The number of threads, by m forward steps of exact prefix counts per state."""
-    _check_length(m)
     moves = _moves(f, m)
     counts = [1] + [0] * (len(moves) - 1)
     for _ in range(m):

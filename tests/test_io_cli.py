@@ -127,6 +127,10 @@ class TestParse:
          "malformed JSON: Expecting value: line 2 column 33 (char 33)"),
         ('\x0c{"n": 2, "pairs": [[0, 0], [1, 1]]}',
          "malformed JSON: Expecting value: line 1 column 1 (char 0)"),
+        # only a text whose first non-space is "{" goes to the JSON reader
+        ("[[0, 0]]", "line 1: expected 1 columns to match 1 rows, got 8"),
+        ("5", "line 1, column 1: expected '0' or '1'"),
+        ('\xa0{"n": 1, "pairs": [[0, 0]]}', "malformed JSON: Expecting value: line 1 column 1 (char 0)"),
         ('{"pairs": [[0, 1], [1, 1], [0, 1]], "n": 2}', "pairs[2]: duplicate pair [0, 1]"),
         ('{"n": 2, "pairs": [[0,1], [1, 1], [0,1]]}', "pairs[2]: duplicate pair [0, 1]"),
         ("1x0\n010\n001", "line 1, column 2: expected '0' or '1'"),

@@ -194,14 +194,45 @@ class TestIndexedStates:
             assert graph == mahavier._moves(f, 3)
             assert graph[0] and all(graph)
 
-    def test_only_states_within_the_length_get_moves(self):
-        # at length 1 the start of the 30-point linear order reaches the 30
-        # up-sets {v, ..., 29}, itself among them, and nothing goes on from them
+    def test_last_round_moves_lead_to_the_empty_state(self):
+        # at length 1 the start of the 30-point linear order is the last round:
+        # its 30 moves all reach the one empty state, not the 30 up-sets
         order = Relation(30, tuple((1 << (x + 1)) - 1 for x in range(30)))
         graph = mahavier._moves(order, 1)
-        assert len(graph) == 30
-        assert [len(out) for out in graph] == [30] + [0] * 29
+        assert graph == [[(v, 1) for v in range(30)], []]
         assert count_threads(order, 1) == 30
+
+
+class TestMoveBudget:
+    """``mahavier._moves`` stores at most ``MAX_MOVES`` moves."""
+
+    def test_longest_length_under_the_budget_counts(self):
+        # every pair but the diagonal on 30 points, as in the golden case
+        # mahavier-move-budget, which is rejected at length 6 and past it:
+        # the states after m coordinates are the sets missing at most m
+        # points, and a thread is a tuple of distinct points
+        nodiag = Relation(30, tuple(((1 << 30) - 1) & ~(1 << x) for x in range(30)))
+        assert count_threads(nodiag, 5) == 30 * 29 * 28 * 27 * 26 == 17_100_720
+
+    def test_budget_is_exact(self, monkeypatch):
+        # gamma at length 2 stores 3 moves: two from the start, one from {0}
+        monkeypatch.setattr(mahavier, "MAX_MOVES", 3)
+        assert count_threads(gamma_relation(), 2) == 3
+        assert list(iter_threads(gamma_relation(), 2)) == [(0, 0), (1, 0), (1, 1)]
+        monkeypatch.setattr(mahavier, "MAX_MOVES", 2)
+        message = "chain length 2 needs more moves than the budget 2"
+        with pytest.raises(ValueError, match=message):
+            count_threads(gamma_relation(), 2)
+        with pytest.raises(ValueError, match=message):
+            next(iter_threads(gamma_relation(), 2))
+
+    def test_bad_length_is_reported_before_the_budget(self, monkeypatch):
+        monkeypatch.setattr(mahavier, "MAX_MOVES", 0)
+        for m, message in [(0, "positive"), (2.0, "float"), (mahavier.MAX_LENGTH + 1, "exceeds the cap")]:
+            with pytest.raises(ValueError, match=message):
+                count_threads(gamma_relation(), m)
+            with pytest.raises(ValueError, match=message):
+                next(iter_threads(gamma_relation(), m))
 
 
 class TestAdjacentVersusAllPairs:
