@@ -60,7 +60,7 @@ def _load_relation(path: str):
     from . import io
 
     try:
-        with open(path) as stream:
+        with open(path, encoding="utf-8") as stream:
             text = stream.read()
     except OSError as exc:
         raise io.RelationParseError(f"cannot read {path}: {exc}") from exc
@@ -159,15 +159,17 @@ def _cmd_mahavier(args) -> int:
     if args.json:
         import json
 
-        threads = tuple(threads)
-        doc = {
-            "n": f.n,
-            "length": args.length,
-            "count": len(threads),
-            "is_coordinatewise_chain": mahavier.is_coordinatewise_chain(threads),
-            "threads": [list(t) for t in threads],
-        }
-        print(json.dumps(doc, indent=2))
+        # json.dumps(indent=2)'s layout, each thread written as it is walked
+        count = mahavier.count_threads(f, args.length)
+        chain = mahavier._is_chain_in_order(mahavier.iter_threads(f, args.length))
+        doc = {"n": f.n, "length": args.length, "count": count,
+               "is_coordinatewise_chain": chain, "threads": []}
+        sys.stdout.write(json.dumps(doc, indent=2)[:-len("[]\n}")])
+        sep = "["
+        for t in threads:
+            sys.stdout.write(sep + "\n    [\n      " + ",\n      ".join(map(str, t)) + "\n    ]")
+            sep = ","
+        sys.stdout.write("[]\n}\n" if sep == "[" else "\n  ]\n}\n")
     else:
         for t in threads:
             print(" ".join(map(str, t)))

@@ -21,6 +21,7 @@ them, totally ordered coordinatewise (``is_coordinatewise_chain``).
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import pairwise
 
 from .core import _BITS, Relation, _inverse_rows, iter_bits
 
@@ -123,5 +124,9 @@ def is_coordinatewise_chain(threads: Iterable[Thread]) -> bool:
     Coordinatewise order refines lexicographic order, so the set is a chain
     exactly when every lex-consecutive pair is comparable.
     """
-    ordered = sorted(threads)
-    return all(all(ai <= bi for ai, bi in zip(a, b)) for a, b in zip(ordered, ordered[1:]))
+    return _is_chain_in_order(sorted(threads))
+
+
+def _is_chain_in_order(threads: Iterable[Thread]) -> bool:
+    """``is_coordinatewise_chain`` of threads given in lexicographic order, in one pass."""
+    return all(all(ai <= bi for ai, bi in zip(a, b)) for a, b in pairwise(threads))

@@ -23,9 +23,12 @@ every chain point and see none of them back, as idempotence guarantees;
 so the chain never revisits a point, and running out of successors is a
 logic error that raises at once rather than looping.
 
-Each lemma has one packed core returning plain values, ``(chain, result)``
-or, for the pipeline, ``(pair, chain1, chain2, rng)``.  The census reads
-them directly; only the public functions build records, from the same cores.
+Lemma 1 has one packed core, ``_reflexive_pair``, returning plain
+``(chain, result)``; Lemma 2 has no core of its own, only ``_walk`` from
+``[x, y]``, and its seed checks live in ``gamma_from_seed`` alone, since the
+pipeline's seed is Lemma 1's result.  The pipeline returns ``(pair, chain1,
+chain2, rng)``, which the census reads directly; only the public functions
+build records.
 """
 
 from __future__ import annotations
@@ -129,34 +132,16 @@ def gamma_from_seed(f: Relation, x: int, y: int) -> WitnessChain:
         if type(p) is not int:
             raise PreconditionError(f"seed point {p!r} is a {type(p).__name__}, not an int")
     _require(f, "gamma_from_seed", nontrivial=False)
-    chain, result = _gamma_from_seed(f.rows, (1 << f.n) - 1, x, y)
-    return WitnessChain(KIND_GAMMA_FROM_SEED, tuple(chain), (x, y), result)
-
-
-def _gamma_from_seed(rows: Sequence[int], rng: int, x: int,
-                     y: int) -> tuple[list[int], tuple[int, int]]:
-    """``gamma_from_seed`` on the relation whose rows are ``rows`` ANDed with ``rng``.
-
-    That relation must be full and idempotent on the points of ``rng``; the
-    seed is still checked.  Returns (chain, result), the chain without x.
-    """
-    n = len(rows)
-    if not (0 <= x < n and 0 <= y < n):
+    if not (0 <= x < f.n and 0 <= y < f.n):
         raise PreconditionError("seed points out of range")
     if x == y:
         raise PreconditionError("seed points must be distinct")
-    row_x = rows[x] & rng
-    if not (row_x >> x) & 1:
+    if not (f.rows[x] >> x) & 1:
         raise PreconditionError(f"seed requires ({x}, {x}) in the relation")
-    if not (row_x >> y) & 1:
+    if not (f.rows[x] >> y) & 1:
         raise PreconditionError(f"seed requires ({x}, {y}) in the relation")
-    # the walk checks the points it appends; a reflexive y ends the chain at once
-    row_y = rows[y]
-    if not (row_y >> y) & 1 and (row_y >> x) & 1:
-        raise AssertionError(f"back-edge ({y}, {x}) violates the chain order")
-
-    chain = _walk(rows, rng, [x, y])
-    return chain[1:], (x, chain[-1])
+    chain = _walk(f.rows, (1 << f.n) - 1, [x, y])
+    return WitnessChain(KIND_GAMMA_FROM_SEED, tuple(chain[1:]), (x, y), (x, chain[-1]))
 
 
 def _walk(rows: Sequence[int], rng: int, chain: list[int]) -> list[int]:
@@ -164,13 +149,17 @@ def _walk(rows: Sequence[int], rng: int, chain: list[int]) -> list[int]:
 
     ``chain`` holds the points of ``rng`` already placed, in order: ``[x0]``
     for Lemma 1, ``[x, y]`` for Lemma 2.  Unless its last point is
-    reflexive, no point may see an earlier one.  Each appended point must be
-    seen by every chain point and see none of them back, so the last point
-    never sees a chain point, its successors are all fresh, and the walk
-    ends within ``rng.bit_count()`` points.  It returns ``chain`` itself,
-    unchanged if its last point is reflexive.
+    reflexive, that point may see no earlier one, and the walk asserts so.
+    Each appended point must be seen by every chain point and see none of
+    them back, so the last point never sees a chain point, its successors
+    are all fresh, and the walk ends within ``rng.bit_count()`` points.  It
+    returns ``chain`` itself, unchanged if its last point is reflexive.
     """
     cur = chain[-1]
+    if not (rows[cur] >> cur) & 1:
+        for c in chain[:-1]:
+            if (rows[cur] >> c) & 1:
+                raise AssertionError(f"back-edge ({cur}, {c}) violates the chain order")
     while not (rows[cur] >> cur) & 1:
         fresh = rows[cur] & rng
         if not fresh:
@@ -225,8 +214,9 @@ def _gamma_pipeline(rows: Sequence[int],
     for row in rows:
         rng |= row
     chain1, (x, y) = _reflexive_pair(rows, rng)
-    chain2, (a, z) = _gamma_from_seed(inv, rng, x, y)
-    # (a,a),(a,z),(z,z) in inv, hence (z,z),(z,a),(a,a) in f
-    if z == a or not (rows[z] >> z) & (rows[z] >> a) & (rows[a] >> a) & 1:
-        raise AssertionError(f"pipeline produced an invalid gamma pair ({z}, {a})")
-    return (z, a), chain1, chain2, rng
+    chain2 = _walk(inv, rng, [x, y])
+    z = chain2[-1]
+    # (x,x),(x,z),(z,z) in inv, hence (z,z),(z,x),(x,x) in f
+    if z == x or not (rows[z] >> z) & (rows[z] >> x) & (rows[x] >> x) & 1:
+        raise AssertionError(f"pipeline produced an invalid gamma pair ({z}, {x})")
+    return (z, x), chain1, chain2[1:], rng

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 from decimal import Decimal
@@ -672,6 +673,20 @@ class TestMahavierCommand:
                 got = run_cli(capsys, "mahavier", path, "--length", str(m), "--json", "--transpose")
                 assert got == transposed, (path, m)
 
+    def test_json_memory_does_not_grow_with_the_threads(self, monkeypatch):
+        # 301 threads of 300 points: holding them all takes about 8 MiB, streaming under 0.1 MiB
+        argv = ["mahavier", bundled("gamma"), "--length", "300", "--json"]
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            assert run(argv[:3] + ["1", "--json"]) == 0  # imports outside the trace
+            tracemalloc.start()
+            try:
+                assert run(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2 << 20
+
     def test_bad_length(self, capsys):
         code, _, err = run_cli(capsys, "mahavier", bundled("gamma"), "--length", "0")
         assert code == 2
@@ -964,3 +979,14 @@ class TestDependencies:
              "--length", "10", "--count-only"],
             env=env, capture_output=True, text=True, check=True)
         assert done.stdout == "11\n"
+
+    def test_documents_are_read_as_utf_8(self):
+        # with the locale's encoding, open() warns, and here the warning is an error
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "finrel", "check", bundled("t")],
+            env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout)["trivial"] is True

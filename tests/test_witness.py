@@ -22,9 +22,9 @@ from finrel.witness import (
     KIND_REFLEXIVE_PAIR,
     GammaWitness,
     WitnessChain,
-    _gamma_from_seed,
     _gamma_pipeline,
     _reflexive_pair,
+    _walk,
 )
 from strategies import full_square, idempotent_power, idempotent_relations, random_idempotent
 
@@ -385,29 +385,29 @@ class TestChainAssertions:
 
     def test_seeded_edge_back_to_the_seed(self):
         with fails_with("back-edge (1, 0) violates the chain order"):
-            _gamma_from_seed((0b011, 0b101, 0b100), 0b111, 0, 1)
+            _walk((0b011, 0b101, 0b100), 0b111, [0, 1])
 
     def test_seeded_exhausted(self):
         with fails_with("chain exhausted fresh points without a reflexive one"):
-            _gamma_from_seed((0b011, 0b000), 0b11, 0, 1)
+            _walk((0b011, 0b000), 0b11, [0, 1])
 
     def test_seeded_seed_lost_sight(self):
         with fails_with("chain point 0 does not see successor 2"):
-            _gamma_from_seed((0b011, 0b100, 0b100), 0b111, 0, 1)
+            _walk((0b011, 0b100, 0b100), 0b111, [0, 1])
 
     def test_seeded_chain_point_does_not_see(self):
         with fails_with("chain point 1 does not see successor 3"):
-            _gamma_from_seed((0b1111, 0b0100, 0b1000, 0b1000), 0b1111, 0, 1)
+            _walk((0b1111, 0b0100, 0b1000, 0b1000), 0b1111, [0, 1])
 
     def test_seeded_back_edge(self):
         with fails_with("back-edge (2, 1) violates the chain order"):
-            _gamma_from_seed((0b111, 0b100, 0b010), 0b111, 0, 1)
+            _walk((0b111, 0b100, 0b010), 0b111, [0, 1])
 
     def test_pipeline_rejects_an_invalid_gamma_pair(self, monkeypatch):
-        def bad_extension(rows, rng, x, y):
-            return [y], (1, 1)
+        def bad_walk(rows, rng, chain):
+            return chain + [chain[0]]
 
-        monkeypatch.setattr("finrel.witness._gamma_from_seed", bad_extension)
+        monkeypatch.setattr("finrel.witness._walk", bad_walk)
         f = gamma_relation()
         with fails_with("pipeline produced an invalid gamma pair (1, 1)"):
             _gamma_pipeline(f.rows, inverse(f).rows)
