@@ -268,4 +268,8 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    import signal
+
+    if hasattr(signal, "SIGPIPE"):  # a closed stdout ends the run as it ends any filter
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())

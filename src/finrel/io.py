@@ -111,8 +111,8 @@ def _parse_matrix(text: str) -> Relation:
         if len(cells) != n:
             raise RelationParseError(
                 f"line {x}: expected {n} columns to match {n} rows, got {len(cells)}")
-        # only after the width check, as _ROW_OF holds lines of every width up to 8
-        row = _ROW_OF.get(cells) if n <= 8 else None
+        # only after the width check, as _ROW_OF holds lines of every width up to 8, none longer
+        row = _ROW_OF.get(cells)
         # strip("01") leaves any other character; int() also reads "_" and non-ASCII digits
         if row is None and cells.strip("01"):
             y = next(y for y, ch in enumerate(cells) if ch not in "01")

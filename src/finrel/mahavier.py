@@ -9,13 +9,15 @@ finite analogue of the inverse limit of f over the chain 0 < 1 < ... < m-1.
 A thread set is a plain tuple of threads in lexicographic order.
 ``iter_threads`` streams the threads and ``count_threads`` counts them
 without building any.  The engine sums up a prefix by one state, the mask
-of points allowed as its next coordinate.  It starts from all points, and
-placing v leaves the allowed points that map onto v.  States are numbered
-in the order first found, the start 0, one round per coordinate; a move
-of the last round leaves no point, and discovery stops at the first round
-that finds no new state.  The threads of the canonical gamma relation on
-two points are the indicator tuples of down-sets of the chain: m+1 of
-them, totally ordered coordinatewise (``is_coordinatewise_chain``).
+of points allowed as its next coordinate, with one move per allowed point.
+It starts from all points, and placing v leaves the allowed points that
+map onto v: a move stays on its state or leads to a state with fewer
+points, so fewer moves.  States are numbered in the order first found, the
+start 0, one round per coordinate; a move of the last round leaves no
+point, and discovery stops at the first round that finds no new state.
+The threads of the canonical gamma relation on two points are the
+indicator tuples of down-sets of the chain: m+1 of them, totally ordered
+coordinatewise (``is_coordinatewise_chain``).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from itertools import pairwise
 from .core import _BITS, Relation, _inverse_rows, iter_bits
 
 MAX_LENGTH = 1 << 20
-MAX_MOVES = 1 << 21  # moves a state graph may hold; at about 75 bytes each, 160 MB
+MAX_MOVES = 1 << 21  # moves a state graph may hold; at about 69 bytes each, 145 MB
 
 Thread = tuple[int, ...]
 
@@ -74,18 +76,12 @@ def iter_threads(f: Relation, m: int) -> Iterator[Thread]:
 
     A depth-first walk with an explicit stack over the states of the module
     docstring that steps only into states able to take the rest of the chain.
+    How far each state reaches comes from one pass in order of move count, next states first.
     """
     moves = _moves(f, m)
-    # tails: the most coordinates each state can still take in the graph, m for
-    # those that can take m; round r finds the states that can take r but not r + 1
-    tails = [m] * len(moves)
-    for r in range(m):
-        dead = [s for s, out in enumerate(moves)
-                if tails[s] == m and all(tails[nxt] < m for _, nxt in out)]
-        if not dead:
-            break
-        for s in dead:
-            tails[s] = r
+    tails = [m] * len(moves)  # the most coordinates each state can still take, at most m
+    for s in sorted(range(len(moves)), key=lambda s: len(moves[s])):  # a move that stays reads m
+        tails[s] = min(m, 1 + max([tails[nxt] for _, nxt in moves[s]], default=-1))
     prefix: list[int] = []
     stack = [iter(moves[0])]
     while stack:
@@ -105,17 +101,18 @@ def iter_threads(f: Relation, m: int) -> Iterator[Thread]:
 
 
 def count_threads(f: Relation, m: int) -> int:
-    """The number of threads, by m forward steps of exact prefix counts per state."""
+    """The number of threads, by m - 1 forward steps of exact prefix counts per
+    state; a state's moves are then its choices for the last coordinate."""
     moves = _moves(f, m)
     counts = [1] + [0] * (len(moves) - 1)
-    for _ in range(m):
+    for _ in range(m - 1):
         ahead = [0] * len(moves)
         for s, count in enumerate(counts):
             if count:
                 for _, nxt in moves[s]:
                     ahead[nxt] += count
         counts = ahead
-    return sum(counts)
+    return sum(count * len(out) for count, out in zip(counts, moves))
 
 
 def is_coordinatewise_chain(threads: Iterable[Thread]) -> bool:

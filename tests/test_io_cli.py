@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -990,3 +991,17 @@ class TestDependencies:
             env=env, capture_output=True, text=True)
         assert (done.returncode, done.stderr) == (0, "")
         assert json.loads(done.stdout)["trivial"] is True
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+    def test_closed_stdout_ends_the_run_quietly(self):
+        # the reader leaves after one byte of 2,001 threads: the run ends by
+        # SIGPIPE, as any filter does, with no BrokenPipeError traceback
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        with subprocess.Popen(
+                [sys.executable, "-m", "finrel", "mahavier", bundled("gamma"), "--length", "2000"],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+            assert child.stdout.read(1) == b"0"
+            child.stdout.close()
+            child.wait(timeout=60)
+            assert (child.returncode, child.stderr.read()) == (-signal.SIGPIPE, b"")

@@ -202,6 +202,18 @@ class TestIndexedStates:
         assert graph == [[(v, 1) for v in range(30)], []]
         assert count_threads(order, 1) == 30
 
+    def test_moves_stay_or_lead_to_fewer_moves(self):
+        # iter_threads ranks the states in one pass by move count, which
+        # reaches every next state first only if this holds
+        layers = [(1 << 2 * layer) - 1 for layer in range(40) for _ in range(2)]
+        graphs = [mahavier._moves(f, m) for n in (1, 2, 3) for f in all_relations(n)
+                  for m in range(1, 7)]
+        graphs.append(mahavier._moves(Relation(81, tuple(layers) + (1 << 80,)), 50))
+        assert len(graphs) == 3181
+        for graph in graphs:
+            for s, out in enumerate(graph):
+                assert all(nxt == s or len(graph[nxt]) < len(out) for _, nxt in out)
+
 
 class TestMoveBudget:
     """``mahavier._moves`` stores at most ``MAX_MOVES`` moves."""
