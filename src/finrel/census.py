@@ -17,8 +17,9 @@ backtracker's leaf test has already shown f o f = f, so the inverse of the
 square is the transpose itself, and the law checks that the transpose is
 idempotent.  That holds exactly when f is, so the law also catches a
 non-idempotent f that reached the checks.
-The checks read f's packed rows and the pipeline's packed tuple (pair, both
-chains, range mask); only a kept counterexample becomes a ``Relation``.
+``survey`` runs every check in its own loop, on f's packed rows and the
+pipeline's packed tuple (pair, both chains, range mask); no ``Relation`` is
+built, and a kept counterexample lists its pairs straight from the rows.
 
 The n=5 space holds 31**5 = 28,629,151 candidates, too many to visit one
 by one in pure Python.  An idempotent relation is transitive, so a
@@ -50,7 +51,6 @@ from collections import namedtuple
 from collections.abc import Iterator, Sequence
 
 from .core import (
-    Relation,
     _BITS,
     _check_carrier,
     _compose_rows,
@@ -214,56 +214,9 @@ class _Tally:
 def _flag(tally: _Tally, rows: tuple, reason: str) -> None:
     tally.counterexample_total += 1
     if len(tally.counterexamples) < COUNTEREXAMPLE_CAP:
-        f = Relation(len(rows), rows)
-        tally.counterexamples.append(
-            {"n": f.n, "pairs": [list(p) for p in f.pairs()], "reason": reason})
-
-
-def _check_idempotent(rows: tuple, inv: list[int], tally: _Tally, identity: tuple) -> None:
-    """Run every census check on the idempotent full f on ``rows``, whose transpose is ``inv``."""
-    tally.idempotent_full += 1
-
-    trivial = _nontriviality(rows) is None
-    gam = _gamma(rows)
-    two = _two_point(rows)
-
-    if gam is not None:
-        tally.gamma_idempotent += 1
-    if trivial:
-        tally.trivial_idempotent += 1
-    else:
-        tally.nontrivial_idempotent += 1
-
-    # the three-way equivalence for idempotent full relations
-    if (gam is None) != trivial or (two is None) != trivial:
-        _flag(tally, rows, "trivial / gamma / two-point disagreement")
-
-    n = len(rows)
-    if not trivial:
-        try:
-            pair, chain1, chain2, _ = _gamma_pipeline(rows, inv)
-        except Exception as exc:  # any failure here is exactly what we scan for
-            _flag(tally, rows, f"gamma pipeline failed: {exc}")
-        else:
-            u, v = pair
-            ok = u != v and 0 <= u < n and 0 <= v < n
-            ok = ok and (rows[u] >> u) & (rows[u] >> v) & (rows[v] >> v) & 1
-            if not ok or len(chain1) > n or len(chain2) > n:
-                _flag(tally, rows, "gamma pipeline returned an invalid witness")
-
-    surjective = all(inv)  # every point has a predecessor
-    if surjective:
-        tally.surjective_idempotent += 1
-
-    ident = rows == identity
-    if ident:
-        tally.identity_count += 1
-    if trivial and surjective and not ident:
-        _flag(tally, rows, "trivial idempotent surjection differs from the identity")
-
-    # the leaf test showed f o f = f, so the inverse of the square is inv itself
-    if _compose_rows(inv, inv) != inv:
-        _flag(tally, rows, "squaring does not commute with inversion")
+        # the pairs of f in lexicographic order, as Relation.pairs() lists them
+        pairs = [[x, y] for x, row in enumerate(rows) for y in _BITS[row]]
+        tally.counterexamples.append({"n": len(rows), "pairs": pairs, "reason": reason})
 
 
 def _full_classes(n: int) -> int:
@@ -313,12 +266,52 @@ def survey(n: int, mode: str = "all") -> SurveyReport:
     iso = mode == "up_to_iso"
     identity = tuple(1 << x for x in range(n))
     started = time.perf_counter()
-    total = _Tally()
+    tally = _Tally()
     for rows, inv in _idempotent_relations(n, ascending=iso):
-        if not iso or _is_canonical(rows, inv):
-            _check_idempotent(rows, inv, total, identity)
+        if iso and not _is_canonical(rows, inv):
+            continue
+        # every census check on the idempotent full f on rows, whose transpose is inv
+        tally.idempotent_full += 1
+        trivial = _nontriviality(rows) is None
+        gam = _gamma(rows)
+        two = _two_point(rows)
+        if gam is not None:
+            tally.gamma_idempotent += 1
+        if trivial:
+            tally.trivial_idempotent += 1
+        else:
+            tally.nontrivial_idempotent += 1
+
+        # the three-way equivalence for idempotent full relations
+        if (gam is None) != trivial or (two is None) != trivial:
+            _flag(tally, rows, "trivial / gamma / two-point disagreement")
+
+        if not trivial:
+            try:
+                pair, chain1, chain2, _ = _gamma_pipeline(rows, inv)
+            except Exception as exc:  # any failure here is exactly what we scan for
+                _flag(tally, rows, f"gamma pipeline failed: {exc}")
+            else:
+                u, v = pair
+                ok = u != v and 0 <= u < n and 0 <= v < n
+                ok = ok and (rows[u] >> u) & (rows[u] >> v) & (rows[v] >> v) & 1
+                if not ok or len(chain1) > n or len(chain2) > n:
+                    _flag(tally, rows, "gamma pipeline returned an invalid witness")
+
+        surjective = all(inv)  # every point has a predecessor
+        if surjective:
+            tally.surjective_idempotent += 1
+        ident = rows == identity
+        if ident:
+            tally.identity_count += 1
+        if trivial and surjective and not ident:
+            _flag(tally, rows, "trivial idempotent surjection differs from the identity")
+
+        # the leaf test showed f o f = f, so the inverse of the square is inv itself
+        if _compose_rows(inv, inv) != inv:
+            _flag(tally, rows, "squaring does not commute with inversion")
     elapsed = time.perf_counter() - started
 
     full = ((1 << n) - 1) ** n if mode == "all" else _full_classes(n)
-    total.counterexamples = tuple(total.counterexamples)
-    return SurveyReport(n, mode, full, *(getattr(total, k) for k in _Tally.__slots__), elapsed)
+    tally.counterexamples = tuple(tally.counterexamples)
+    return SurveyReport(n, mode, full, *(getattr(tally, k) for k in _Tally.__slots__), elapsed)

@@ -61,7 +61,7 @@ def _load_relation(path: str):
 
     try:
         with open(path, encoding="utf-8") as stream:
-            text = stream.read()
+            text = stream.read().removeprefix("\ufeff")  # a byte-order mark is no content
     except OSError as exc:
         raise io.RelationParseError(f"cannot read {path}: {exc}") from exc
     return io.parse_relation(text)

@@ -134,6 +134,7 @@ class Relation:
 
 def identity(n: int) -> Relation:
     """The identity relation {(x, x) : x < n}."""
+    _check_carrier(n)
     return Relation(n, tuple(1 << x for x in range(n)))
 
 

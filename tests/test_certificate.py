@@ -1,10 +1,12 @@
 """The census certificate can fail: one injected fault per counterexample reason.
 
 An empty counterexample list only certifies the paper's equivalences if every
-check in ``census._check_idempotent`` can fire.  Each test below breaks one
-collaborator that ``finrel.census`` imports, runs the census, and asserts that
-exactly the expected reason is reported, both by ``survey`` and by
-``finrel survey``, which must then exit 1.  The census checks packed rows, so
+check in ``survey``'s loop can fire.  Each test below breaks one collaborator
+that ``finrel.census`` imports, runs the census, and asserts that exactly the
+expected reason is reported, both by ``survey`` and by ``finrel survey``, which
+must then exit 1.  A fault that flags TARGET alone must report it as
+``survey --json`` prints it: its n, its pairs in the order of
+``Relation.pairs()``, and the reason.  The census checks packed rows, so
 the predicate faults break its packed cores ``_nontriviality``, ``_gamma``
 and ``_two_point``.
 
@@ -98,6 +100,11 @@ def assert_flagged(capsys, reason, count=None, n=N):
     code, out, _ = run_cli(capsys, "survey", "--n", str(n))
     assert code == 1
     assert out.splitlines()[-1].endswith(f",{report.counterexample_total}")
+    if count == 1:  # only TARGET is flagged: its record, pair order included
+        record = {"n": 3, "pairs": [list(p) for p in TARGET.pairs()], "reason": reason}
+        assert report.counterexamples == (record,)
+        code, out, _ = run_cli(capsys, "survey", "--n", str(n), "--json")
+        assert (code, json.loads(out)["counterexamples"]) == (1, [record])
     return report
 
 
@@ -167,8 +174,7 @@ def test_the_law_reads_the_carried_transpose(monkeypatch, capsys):
     broken = Relation.from_pairs(N, o.pairs_of(TARGET) | {(1, 2)})
     assert not o.o_is_idempotent(o.pairs_of(broken))
     carry_transposes(monkeypatch, swap=oracle_transpose(broken))
-    report = assert_flagged(capsys, LAW, count=1)
-    assert Relation.from_pairs(N, report.counterexamples[0]["pairs"]) == TARGET
+    assert_flagged(capsys, LAW, count=1)
 
 
 def test_the_law_catches_every_non_idempotent_relation(monkeypatch):
@@ -179,9 +185,8 @@ def test_the_law_catches_every_non_idempotent_relation(monkeypatch):
     carry_transposes(monkeypatch, extra=non_idempotent)
     monkeypatch.setattr(census, "COUNTEREXAMPLE_CAP", float("inf"))  # keep every report
     report = survey(N)
-    flagged = [Relation.from_pairs(doc["n"], doc["pairs"])
-               for doc in report.counterexamples if doc["reason"] == LAW]
-    assert flagged == non_idempotent
+    flagged = [(doc["n"], doc["pairs"]) for doc in report.counterexamples if doc["reason"] == LAW]
+    assert flagged == [(N, [list(p) for p in f.pairs()]) for f in non_idempotent]
 
 
 def test_a_census_that_flags_everything_keeps_a_bounded_sample(monkeypatch, capsys):

@@ -179,6 +179,12 @@ class TestIdentity:
     def test_three_points(self):
         assert identity(3).pairs() == [(0, 0), (1, 1), (2, 2)]
 
+    @pytest.mark.parametrize("n", [2.0, "3", None])
+    def test_carrier_must_be_an_int(self, n):
+        # the same check as Relation(n, ...), before range() sees n
+        with pytest.raises(ValueError, match=f"carrier size n is a {type(n).__name__}, not an int"):
+            identity(n)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_profile(self, n):
         p = properties(identity(n))
