@@ -50,8 +50,11 @@ import time
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 
+# core._SPREAD lets the census carry a transpose with column y in byte y; like
+# _BITS beside it, it serves every n <= 8, not only ENUM_CAP = 5
 from .core import (
     _BITS,
+    _SPREAD,
     _check_carrier,
     _compose_rows,
     _gamma,
@@ -64,12 +67,6 @@ from .witness import _gamma_pipeline
 ENUM_CAP = 5
 # a broken build flags every relation; keep a sample, count the rest
 COUNTEREXAMPLE_CAP = 100
-# _SPREAD[r] moves bit j of r < 256 to bit 8j, so the census can carry a
-# transpose with column y in byte y; like core._BITS, it covers rows on up to
-# 8 points, so it serves every n <= 8, not only ENUM_CAP = 5
-_SPREAD = [0]
-for _bit in range(8):
-    _SPREAD += [r | 1 << 8 * _bit for r in _SPREAD]
 
 
 def _idempotent_relations(n: int, ascending: bool) -> Iterator[tuple[tuple[int, ...], list[int]]]:

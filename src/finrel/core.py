@@ -6,7 +6,8 @@ bit y of ``rows[x]`` is set exactly when the pair (x, y) belongs to f, so
 row into one machine word makes composition a handful of bitwise ORs per
 row, which is what keeps the exhaustive n=5 scan in the census feasible.
 The kernels list the points of a row below 256, a row on at most 8 points,
-from the table ``_BITS``, and those of a wider row with ``iter_bits``.
+from the table ``_BITS``, and those of a wider row with ``iter_bits``; beside
+it, ``_SPREAD`` transposes at most 8 rows with one OR per row.
 
 All values are immutable and all operations are pure functions, so
 relations can be shared freely.
@@ -43,6 +44,11 @@ def iter_bits(mask: int) -> Iterator[int]:
 # _BITS[r] lists the set bit positions of r < 256, so a row on at most 8
 # points is walked by one lookup; a wider row takes iter_bits
 _BITS = [tuple(iter_bits(r)) for r in range(256)]
+# _SPREAD[r] moves bit j of r < 256 to bit 8j: ORing _SPREAD[rows[x]] << x over
+# the rows on at most 8 points gives the transpose with column y in byte y
+_SPREAD = [0]
+for _bit in range(8):
+    _SPREAD += [r | 1 << 8 * _bit for r in _SPREAD]
 
 
 class Relation:
@@ -151,6 +157,11 @@ def _compose_rows(frows: Sequence[int], grows: Sequence[int]) -> list[int]:
 
 def _inverse_rows(rows: Sequence[int]) -> list[int]:
     """The packed rows of the transpose: bit x of row y set when bit y of row x is."""
+    if len(rows) <= 8:
+        acc = 0
+        for x, row in enumerate(rows):
+            acc |= _SPREAD[row] << x
+        return list(acc.to_bytes(len(rows), "little"))
     out = [0] * len(rows)
     bit = 1
     for row in rows:

@@ -9,8 +9,9 @@ checks every pair or cell once and builds its rows itself, so it returns a
 
 On at most 8 points a row is one byte, and three tables built at import
 look it up: ``_DIGITS[r]`` lists its points as text, ``_CELLS[r]`` is its line
-on 8 points, and ``_ROW_OF`` maps each well-formed line of 1-8 cells to its
-row.  Wider carriers, and malformed lines, take the per-pair and per-cell path.
+on 8 points, and ``_ROWS_OF[n]`` maps each line of n 0/1 cells to its row, so
+a matrix in the layout ``serialize_relation`` writes is one lookup per line.
+Other layouts, wider carriers and malformed lines take the general path.
 
 A JSON text laid out exactly as ``json.dumps`` writes it, on 1-8 points and
 with at least one pair, skips ``json.loads``: after its head, each ``[x, y], ``
@@ -33,11 +34,11 @@ MAX_CARRIER = 4_096
 
 # built by doubling: step k extends the rows on k points to those on k + 1, so
 # the first n cells of _CELLS[r] are the line of r on n points, for r < 2**n
-_DIGITS, _CELLS, _ROW_OF = [()], [""], {}
+_DIGITS, _CELLS, _ROWS_OF = [()], [""], [{}]
 for _k in range(8):
     _DIGITS += [d + (str(_k),) for d in _DIGITS]
     _CELLS = [c + "0" for c in _CELLS] + [c + "1" for c in _CELLS]
-    _ROW_OF.update(zip(_CELLS, range(len(_CELLS))))
+    _ROWS_OF.append(dict(zip(_CELLS, range(len(_CELLS)))))
 
 # the JSON layout json.dumps writes on 1-8 points: its head, and each pair with
 # the ", " after it as one 8-byte record, read as an int the same way as below,
@@ -59,9 +60,12 @@ def _parse_json(text: str) -> Relation:
     body = trimmed[19:-2] + ", "
     # isascii first: encode() raises on a lone surrogate
     if n and trimmed.endswith("]}") and len(body) % 8 == 0 and body.isascii():
-        bits = [_RECORD.get(r, _MISS) for r in memoryview(body.encode()).cast("Q")]
-        mask = sum(bits)
-        if not mask & ~_IN_RANGE[n] and mask.bit_count() == len(bits):
+        records = memoryview(body.encode()).cast("Q")
+        try:
+            mask = sum(map(_RECORD.__getitem__, records))
+        except KeyError:
+            mask = _MISS
+        if not mask & ~_IN_RANGE[n] and mask.bit_count() == len(records):
             return Relation._trusted(n, tuple(mask.to_bytes(n, "little")))
     try:
         # an object if it parses: parse_relation sends only texts that lstrip() to
@@ -100,19 +104,27 @@ def _parse_json(text: str) -> Relation:
 
 
 def _parse_matrix(text: str) -> Relation:
+    # the writer's layout by table; a blank line, "\r", space or other break misses
+    written = text.removesuffix("\n").split("\n")
+    if len(written) <= 8:
+        try:
+            return Relation._trusted(len(written),
+                                     tuple(map(_ROWS_OF[len(written)].__getitem__, written)))
+        except KeyError:
+            pass
     # each nonblank line with its number among all lines, blank ones counted
     lines = [(x, cells) for x, cells in enumerate(map(str.strip, text.splitlines()), start=1)
              if cells]
     if not lines:
         raise RelationParseError("empty document: carrier must be nonempty")
     n = len(lines)
+    table = _ROWS_OF[n] if n <= 8 else {}
     rows = []
     for x, cells in lines:
         if len(cells) != n:
             raise RelationParseError(
                 f"line {x}: expected {n} columns to match {n} rows, got {len(cells)}")
-        # only after the width check, as _ROW_OF holds lines of every width up to 8, none longer
-        row = _ROW_OF.get(cells)
+        row = table.get(cells)
         # strip("01") leaves any other character; int() also reads "_" and non-ASCII digits
         if row is None and cells.strip("01"):
             y = next(y for y, ch in enumerate(cells) if ch not in "01")

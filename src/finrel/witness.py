@@ -193,7 +193,8 @@ def gamma_witness(f: Relation) -> GammaWitness:
     seed = (x, chain2[0])
     reflexive = WitnessChain(KIND_REFLEXIVE_PAIR, tuple(chain1), None, seed)
     extension = WitnessChain(KIND_GAMMA_FROM_SEED, tuple(chain2), seed, (x, z))
-    restricted_to = None if rng == (1 << f.n) - 1 else tuple(iter_bits(rng))
+    restricted_to = (None if rng == (1 << f.n) - 1
+                     else _BITS[rng] if rng < 256 else tuple(iter_bits(rng)))
     return GammaWitness(pair, reflexive, extension, restricted_to)
 
 

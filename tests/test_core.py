@@ -3,6 +3,7 @@ import itertools
 import pickle
 import re
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -400,6 +401,19 @@ class TestRowKernels:
     def test_inverse_rows(self, n):
         for f in all_relations(n):
             assert pairs_of_rows(n, _inverse_rows(f.rows)) == o.o_inverse(o.pairs_of(f))
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_inverse_rows_by_table(self, n):
+        # on at most 8 points the transpose ORs one _SPREAD entry per row; seeded
+        # relations at every density from empty to full, against the oracle
+        rng = Random(n)
+        for density in [k / 8 for k in range(9)]:
+            for _ in range(25):
+                f = Relation(n, [sum(1 << y for y in range(n) if rng.random() < density)
+                                 for _ in range(n)])
+                inv = _inverse_rows(f.rows)
+                assert type(inv) is list
+                assert pairs_of_rows(n, inv) == o.o_inverse(o.pairs_of(f))
 
 
 class TestRowsPastTheByteTable:

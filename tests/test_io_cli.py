@@ -174,13 +174,7 @@ class TestParse:
     def test_dumps_layout_agrees_with_the_compact_one(self):
         # the compact separators never match the record layout, so they take the
         # general path; both must give the same rows or the same message
-        def outcome(text):
-            try:
-                f = parse_relation(text)
-            except RelationParseError as exc:
-                return str(exc)
-            return f.n, f.rows
-
+        outcome = parse_outcome
         rng = Random(30)
         kinds = set()
         for _ in range(2000):
@@ -196,9 +190,62 @@ class TestParse:
             kinds.add(got.split("]: ")[1][:9] if isinstance(got, str) else n)
         assert kinds == {*range(1, 10), "duplicate", "point out"}
 
+    def test_writer_layout_agrees_with_the_line_loop(self):
+        # a matrix in the writer's layout on at most 8 points is read by table; its
+        # "\r\n" twin always takes the per-line loop, as do the near misses; each
+        # text and its twin must give the same rows or the same message
+        rng = Random(35)
+        breaks = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"]  # splitlines() cuts at each
+        kinds = set()
+        for _ in range(2000):
+            n = rng.randint(1, 9)
+            lines = ["".join(rng.choice("01") for _ in range(n)) for _ in range(n)]
+            ends = ["\n"] * n
+            x, miss = rng.randrange(n), rng.choice(
+                ["none", "short", "long", "2", "blanks", "blank lines", "crlf", "break"])
+            if miss == "short":
+                lines[x] = lines[x][:-1]
+            elif miss == "long":
+                lines[x] += rng.choice("01")
+            elif miss == "2":
+                y = rng.randrange(n)
+                lines[x] = lines[x][:y] + "2" + lines[x][y + 1:]
+            elif miss == "blanks":
+                lines[x] = rng.choice(["", " ", "\t"]) + lines[x] + rng.choice(["", " ", "\t"])
+            elif miss == "blank lines":
+                ends[-1] += "\n" * rng.randint(1, 2)
+            elif miss == "crlf":
+                ends[x] = "\r\n"
+            elif miss == "break":
+                ends[x] = rng.choice(breaks)
+            text = "".join(map(str.__add__, lines, ends))
+            twin = text.replace("\r\n", "\n").replace("\n", "\r\n")
+            got = parse_outcome(text)
+            assert got == parse_outcome(twin), (text, twin)
+            kinds.add(got[0] if isinstance(got, tuple) else "width" if "columns" in got
+                      else "cell" if "'0' or '1'" in got else got)
+        assert kinds == {*range(1, 10), "width", "cell", "empty document: carrier must be nonempty"}
+
+    @pytest.mark.parametrize("text", ["", "\n"])
+    def test_no_lines_is_an_empty_document(self, text):
+        with pytest.raises(RelationParseError) as info:
+            parse_relation(text)
+        assert str(info.value) == "empty document: carrier must be nonempty"
+
+
+def parse_outcome(text):
+    """The rows ``parse_relation`` reads from ``text``, or its message."""
+    try:
+        f = parse_relation(text)
+    except RelationParseError as exc:
+        return str(exc)
+    return f.n, f.rows
+
 
 class TestJsonRecords:
     """Texts laid out as json.dumps writes them, on at most 8 points, skip json.loads."""
+
+    LOADS = staticmethod(json.loads)  # the real one, which no_json_loads replaces
 
     @pytest.fixture(autouse=True)
     def no_json_loads(self, monkeypatch):
@@ -224,6 +271,21 @@ class TestJsonRecords:
             rng.shuffle(pairs)
             assert parse_relation(serialize_relation(f, "json")) == f
             assert parse_relation(json.dumps({"n": n, "pairs": pairs})) == f
+
+    @pytest.mark.parametrize("at", [0, 4, 7])
+    @pytest.mark.parametrize("bad", [[8, 0], [0, 9]])
+    def test_a_record_outside_the_table_goes_to_json_loads(self, monkeypatch, bad, at):
+        # "[8, 0], " is an 8-byte record of the layout, but no key of _RECORD on
+        # 8 points; first, in the middle or last, the text goes to json.loads
+        texts = []
+        monkeypatch.setattr(json, "loads", lambda text: texts.append(text) or self.LOADS(text))
+        pairs = [[x, x] for x in range(8)]
+        pairs[at] = bad
+        text = json.dumps({"n": 8, "pairs": pairs})
+        with pytest.raises(RelationParseError) as info:
+            parse_relation(text)
+        assert str(info.value) == f"pairs[{at}]: point out of range for carrier of size 8"
+        assert texts == [text]
 
 
 def reference_json(f):
