@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 from collections.abc import Callable, Sequence
@@ -191,17 +192,37 @@ def _cmd_op(args) -> int:
     return 0
 
 
+def _help_width() -> int:
+    """argparse's help width by shutil.get_terminal_size's rules, without loading shutil
+    (and bz2, lzma and zlib with it) as argparse's formatter does each time it is made."""
+    try:
+        columns = int(os.environ.get("COLUMNS", 0))
+    except ValueError:
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
+        except (AttributeError, ValueError, OSError):
+            columns = 80
+    return columns - 2
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process; each parse returns a fresh namespace."""
-    parser = argparse.ArgumentParser(
+    """The CLI parser, built once per process; each parse returns a fresh namespace.
+
+    The cached parser reads its help width when it is built.
+    """
+    make = functools.partial(argparse.ArgumentParser, formatter_class=functools.partial(
+        argparse.HelpFormatter, width=_help_width()))
+    parser = make(
         prog="finrel",
         description="Relation algebra on finite point sets: predicate checks, "
         "witness chains, an exhaustive census, and inverse-limit threads. "
         "Relation files are JSON {'n': k, 'pairs': [[x, y], ...]} or a 0/1 "
         "matrix whose rows are source points and columns target points.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=make)
 
     p = sub.add_parser("check", help="print the predicate profile of a relation document")
     p.add_argument("file", help="relation document (JSON {'n':…,'pairs':…} or 0/1 matrix, "
@@ -239,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("op", help="apply one algebra operation to relation files")
     p.set_defaults(func=_cmd_op)
-    ops = p.add_subparsers(dest="operation", required=True)
+    ops = p.add_subparsers(dest="operation", required=True, parser_class=make)
     for name, files, about in (("compose", "FG", "first F then G"),
                                ("inverse", "F", "the transpose of F"),
                                ("restrict", "F", "the pairs of F from the given points")):

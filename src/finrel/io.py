@@ -7,11 +7,12 @@ yields the same packed relation; serialization round-trips.  Each parser
 checks every pair or cell once and builds its rows itself, so it returns a
 ``Relation._trusted``; the JSON writer prints what ``json.dumps`` would.
 
-On at most 8 points a row is one byte, and three tables built at import
-look it up: ``_DIGITS[r]`` lists its points as text, ``_CELLS[r]`` is its line
-on 8 points, and ``_ROWS_OF[n]`` maps each line of n 0/1 cells to its row, so
-a matrix in the layout ``serialize_relation`` writes is one lookup per line.
-Other layouts, wider carriers and malformed lines take the general path.
+On at most 8 points a row is one byte, and tables built at import serve both
+directions: each writer takes one lookup per row, ``_PAIRS[x][r]`` the JSON
+text of row r of point x or ``_LINES[n][r]`` its line on n points, and
+``_ROWS_OF[n]`` maps each line of n 0/1 cells back to its row, so a matrix in
+the writer's layout is read with one lookup per line.  Other layouts, wider
+carriers and malformed lines take the general path.
 
 A JSON text laid out exactly as ``json.dumps`` writes it, on 1-8 points and
 with at least one pair, skips ``json.loads``: after its head, each ``[x, y], ``
@@ -32,13 +33,17 @@ from .core import Relation
 # bits in all, 1.3 MB from a 0.06 MB document at 4,096 points
 MAX_CARRIER = 4_096
 
-# built by doubling: step k extends the rows on k points to those on k + 1, so
-# the first n cells of _CELLS[r] are the line of r on n points, for r < 2**n
-_DIGITS, _CELLS, _ROWS_OF = [()], [""], [{}]
+# built by doubling: step k extends the rows on k points to those on k + 1;
+# after it, for r < 2**(k + 1), _CELLS[r] is the line of r on k + 1 points and
+# _ROW_PAIRS[r] its JSON text with "x" for the point; one str.replace per
+# point, cheaper at import than a format per entry, gives _PAIRS[x]
+_CELLS, _ROWS_OF, _ROW_PAIRS = [""], [{}], [""]
 for _k in range(8):
-    _DIGITS += [d + (str(_k),) for d in _DIGITS]
     _CELLS = [c + "0" for c in _CELLS] + [c + "1" for c in _CELLS]
     _ROWS_OF.append(dict(zip(_CELLS, range(len(_CELLS)))))
+    _ROW_PAIRS += [f"{p}, [x, {_k}]".removeprefix(", ") for p in _ROW_PAIRS]
+_LINES = [[cells + "\n" for cells in rows] for rows in _ROWS_OF]
+_PAIRS = ["\n".join(_ROW_PAIRS).replace("x", str(x)).split("\n") for x in range(8)]
 
 # the JSON layout json.dumps writes on 1-8 points: its head, and each pair with
 # the ", " after it as one 8-byte record, read as an int the same way as below,
@@ -145,14 +150,14 @@ def serialize_relation(f: Relation, form: str = "json") -> str:
     n = f.n
     if form == "json":
         # the text json.dumps gives for {"n": n, "pairs": [[x, y], ...]}, without the dict;
-        # a piece per row on at most 8 points; on sparse wide rows one per pair is cheaper
-        body = ", ".join([f"[{x}, " + f"], [{x}, ".join(_DIGITS[row]) + "]"
-                          for x, row in enumerate(f.rows) if row] if n <= 8
+        # a lookup per row on at most 8 points, an empty row's "" dropped; on
+        # sparse wide rows a piece per pair is cheaper
+        body = ", ".join(filter(None, map(list.__getitem__, _PAIRS, f.rows)) if n <= 8
                          else [f"[{x}, {y}]" for x, y in f.pairs()])
         return f'{{"n": {n}, "pairs": [{body}]}}'
     if form == "matrix":
         if n <= 8:
-            return "".join([_CELLS[row][:n] + "\n" for row in f.rows])
+            return "".join(map(_LINES[n].__getitem__, f.rows))
         cells = f"0{n}b"  # bit y of a row is column y, counted from the left
         return "".join([format(row, cells)[::-1] + "\n" for row in f.rows])
     raise ValueError(f"unknown form {form!r}")

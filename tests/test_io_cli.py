@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -27,7 +28,7 @@ from finrel import (
     properties,
     serialize_relation,
 )
-from finrel.cli import run
+from finrel.cli import build_parser, run
 from finrel.io import MAX_CARRIER, RelationParseError
 from finrel.mahavier import MAX_LENGTH
 from strategies import all_relations, relations
@@ -908,6 +909,48 @@ class TestUsageErrors:
         assert named in err and "cannot read" not in err
 
 
+HELP = Path(__file__).resolve().parent / "help"
+
+
+def parsers(parser: argparse.ArgumentParser):
+    """The parser and every sub-parser under it, depth first."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from parsers(sub)
+
+
+class TestHelp:
+    # tests/help/<command>.txt holds `finrel <command> --help` at COLUMNS=80 as
+    # argparse's own formatter writes it, on every supported Python
+    def test_every_parser_has_a_frozen_text(self):
+        names = {p.prog.removeprefix("finrel ").replace(" ", "-") for p in parsers(build_parser())}
+        assert names == {path.stem for path in HELP.glob("*.txt")} and len(names) == 9
+
+    @pytest.mark.parametrize("name", sorted(path.stem for path in HELP.glob("*.txt")))
+    def test_help_at_80_columns(self, name, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [] if name == "finrel" else name.split("-")
+        with pytest.raises(SystemExit) as done:
+            build_parser.__wrapped__().parse_args([*argv, "--help"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out == (HELP / f"{name}.txt").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("columns", ["40", "0", "-3", "x", None])
+    def test_help_width_is_the_one_argparse_reads(self, columns, monkeypatch):
+        # argparse's own formatter asks shutil for the width; narrow texts are not
+        # frozen, as Python versions wrap a long usage line differently
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        for parser in parsers(build_parser.__wrapped__()):
+            ours = parser.format_help()
+            parser.formatter_class = argparse.HelpFormatter
+            assert ours == parser.format_help(), parser.prog
+
+
 DOCUMENTS = st.one_of(
     st.text(max_size=60),
     st.sampled_from(["gamma", "t"]).map(lambda name: Path(bundled(name)).read_text()),
@@ -986,7 +1029,8 @@ class TestDependencies:
 
     def test_start_loads_no_dataclasses_inspect_or_pathlib(self):
         probe = ("import sys, finrel, finrel.cli; finrel.cli.build_parser(); "
-                 "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))")
+                 "print(sorted({'dataclasses', 'inspect', 'pathlib', 'shutil', 'bz2', 'lzma'} "
+                 "& set(sys.modules)))")
         assert self.start(probe) == "[]\n"
 
     @pytest.mark.parametrize("argv,absent", [
