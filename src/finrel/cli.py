@@ -38,9 +38,13 @@ def _argtype(pattern: str, wants: str,
              convert: Callable[[str], object]) -> Callable[[str], object]:
     """An argparse type: a full match of ``pattern``, converted; any other value is a usage error."""
     def parse(raw: str) -> object:
-        if not re.fullmatch(pattern, raw):
-            raise argparse.ArgumentTypeError(f"wants {wants}; got {raw!r}")
-        return convert(raw)
+        if re.fullmatch(pattern, raw):
+            try:
+                return convert(raw)
+            except ValueError:  # int() refuses more than sys.get_int_max_str_digits() digits
+                pass
+        shown = raw if len(raw) <= 40 else raw[:39] + "…"  # not a screenful of digits
+        raise argparse.ArgumentTypeError(f"wants {wants}; got {shown!r}")
     return parse
 
 
@@ -63,7 +67,7 @@ def _load_relation(path: str):
     try:
         with open(path, encoding="utf-8") as stream:
             text = stream.read().removeprefix("\ufeff")  # a byte-order mark is no content
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise io.RelationParseError(f"cannot read {path}: {exc}") from exc
     return io.parse_relation(text)
 

@@ -10,9 +10,9 @@ checks every pair or cell once and builds its rows itself, so it returns a
 On at most 8 points a row is one byte, and tables built at import serve both
 directions: each writer takes one lookup per row, ``_PAIRS[x][r]`` the JSON
 text of row r of point x or ``_LINES[n][r]`` its line on n points, and
-``_ROWS_OF[n]`` maps each line of n 0/1 cells back to its row, so a matrix in
-the writer's layout is read with one lookup per line.  Other layouts, wider
-carriers and malformed lines take the general path.
+``_ROWS_OF[n]`` maps each line of n 0/1 cells back to its row, so a matrix of
+n such lines, with any line ends, is read with one lookup per line.  Blanks,
+blank lines, wider carriers and malformed lines take the line-by-line path.
 
 A JSON text laid out exactly as ``json.dumps`` writes it, on 1-8 points and
 with at least one pair, skips ``json.loads``: after its head, each ``[x, y], ``
@@ -109,32 +109,28 @@ def _parse_json(text: str) -> Relation:
 
 
 def _parse_matrix(text: str) -> Relation:
-    # the writer's layout by table; a blank line, "\r", space or other break misses
-    written = text.removesuffix("\n").split("\n")
-    if len(written) <= 8:
+    lines = text.splitlines()
+    # n lines of n 0/1 cells, with any line ends, by table; a blank or a blank line misses
+    if 0 < len(lines) <= 8:
         try:
-            return Relation._trusted(len(written),
-                                     tuple(map(_ROWS_OF[len(written)].__getitem__, written)))
+            return Relation._trusted(len(lines),
+                                     tuple(map(_ROWS_OF[len(lines)].__getitem__, lines)))
         except KeyError:
             pass
     # each nonblank line with its number among all lines, blank ones counted
-    lines = [(x, cells) for x, cells in enumerate(map(str.strip, text.splitlines()), start=1)
-             if cells]
-    if not lines:
+    numbered = [(x, cells) for x, cells in enumerate(map(str.strip, lines), start=1) if cells]
+    if not numbered:
         raise RelationParseError("empty document: carrier must be nonempty")
-    n = len(lines)
-    table = _ROWS_OF[n] if n <= 8 else {}
+    n = len(numbered)
     rows = []
-    for x, cells in lines:
+    for x, cells in numbered:
         if len(cells) != n:
             raise RelationParseError(
                 f"line {x}: expected {n} columns to match {n} rows, got {len(cells)}")
-        row = table.get(cells)
-        # strip("01") leaves any other character; int() also reads "_" and non-ASCII digits
-        if row is None and cells.strip("01"):
+        if cells.strip("01"):  # any other character; int() also reads "_" and non-ASCII digits
             y = next(y for y, ch in enumerate(cells) if ch not in "01")
             raise RelationParseError(f"line {x}, column {y + 1}: expected '0' or '1'")
-        rows.append(int(cells[::-1], 2) if row is None else row)
+        rows.append(int(cells[::-1], 2))
     return Relation._trusted(n, tuple(rows))
 
 

@@ -506,6 +506,47 @@ class TestIdempotentStructure:
         assert (r.surjective_idempotent, r.identity_count) == (surjective, identities)
 
 
+class TestEachHalfOfIdempotenceIsNeeded:
+    """On a full relation Γ gives nontrivial, so the theorem's content is the
+    converse, and it needs both halves of idempotence: f∘f ⊆ f (transitive)
+    and f ⊆ f∘f.  Counted on pair sets over every full relation with n <= 4.
+    """
+
+    # (n, kind): relations / nontrivial / nontrivial without Γ
+    TABLE = {
+        (2, "full"): (9, 6, 3), (2, "transitive"): (6, 3, 0),
+        (2, "f in f o f"): (8, 5, 2), (2, "idempotent"): (6, 3, 0),
+        (3, "full"): (343, 330, 159), (3, "transitive"): (68, 55, 6),
+        (3, "f in f o f"): (236, 223, 52), (3, "idempotent"): (62, 49, 0),
+        (4, "full"): (50_625, 50_538, 18_219), (4, "transitive"): (1_387, 1_300, 132),
+        (4, "f in f o f"): (28_023, 27_936, 3_231), (4, "idempotent"): (1_123, 1_036, 0),
+    }
+
+    def test_counts_and_least_counterexamples(self):
+        table, least = {key: [0, 0, 0] for key in self.TABLE}, {}
+        for n in (2, 3, 4):
+            for f in o.o_all_full_relations(n):
+                square = o.o_compose(f, f)
+                nontrivial = not o.o_is_trivial_literal(n, f)
+                gamma = o.o_gamma(n, f) is not None
+                assert nontrivial or not gamma, sorted(f)  # Γ ⇒ nontrivial
+                counterexample = nontrivial and not gamma
+                for kind, holds in (("full", True), ("transitive", square <= f),
+                                    ("f in f o f", f <= square), ("idempotent", square == f)):
+                    if holds:
+                        cell = table[n, kind]
+                        cell[0] += 1
+                        cell[1] += nontrivial
+                        cell[2] += counterexample
+                        if counterexample:  # least by n, then by the packed rows
+                            key = (n, tuple(o.o_rows(n, f)))
+                            least[kind] = min(least.get(kind, key), key)
+        assert {key: tuple(cell) for key, cell in table.items()} == self.TABLE
+        assert least["transitive"] == (3, (1, 1, 3))  # {(0,0), (1,0), (2,0), (2,1)}
+        assert least["f in f o f"] == (2, (2, 3))  # {(0,1), (1,0), (1,1)}
+        assert "idempotent" not in least
+
+
 class TestSurveyUpToIso:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_burnside_class_count_matches_subset_count(self, n):

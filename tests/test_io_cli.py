@@ -192,9 +192,11 @@ class TestParse:
         assert kinds == {*range(1, 10), "duplicate", "point out"}
 
     def test_writer_layout_agrees_with_the_line_loop(self):
-        # a matrix in the writer's layout on at most 8 points is read by table; its
-        # "\r\n" twin always takes the per-line loop, as do the near misses; each
-        # text and its twin must give the same rows or the same message
+        # a matrix of n lines of n 0/1 cells on at most 8 points is read by table;
+        # its twin with one leading blank always takes the per-line loop, as do the
+        # near misses, and strip() drops that blank, so no line or column number
+        # moves; each text, that twin and its "\r\n" twin must give the same rows
+        # or the same message
         rng = Random(35)
         breaks = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"]  # splitlines() cuts at each
         kinds = set()
@@ -220,9 +222,9 @@ class TestParse:
             elif miss == "break":
                 ends[x] = rng.choice(breaks)
             text = "".join(map(str.__add__, lines, ends))
-            twin = text.replace("\r\n", "\n").replace("\n", "\r\n")
+            crlf = text.replace("\r\n", "\n").replace("\n", "\r\n")
             got = parse_outcome(text)
-            assert got == parse_outcome(twin), (text, twin)
+            assert got == parse_outcome(" " + text) == parse_outcome(crlf), text
             kinds.add(got[0] if isinstance(got, tuple) else "width" if "columns" in got
                       else "cell" if "'0' or '1'" in got else got)
         assert kinds == {*range(1, 10), "width", "cell", "empty document: carrier must be nonempty"}
@@ -524,6 +526,7 @@ class TestCheckCommand:
         code, out, err = run_cli(capsys, "check", str(doc))
         assert (code, out) == (2, "")
         assert err.startswith("finrel: error: ") and "codec can't decode" in err
+        assert f"cannot read {doc}: " in err
 
     def test_huge_carrier_rejected_before_allocating(self, tmp_path, capsys):
         doc = tmp_path / "huge.json"
@@ -907,6 +910,20 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, *[missing if a == "MISSING" else a for a in argv])
         assert (code, out) == (2, "")
         assert named in err and "cannot read" not in err
+
+    @pytest.mark.parametrize("argv,flag,head", [
+        (["survey"], "--n", ""),
+        (["mahavier", "MISSING"], "--length", "-"),
+        (["witness", "MISSING", "--lemma", "2"], "--seed", "0,"),
+        (["op", "restrict", "MISSING"], "--points", "0,,"),
+    ], ids=["n", "length", "seed", "points"])
+    def test_integer_past_the_digit_limit(self, capsys, argv, flag, head):
+        # int() refuses more than sys.get_int_max_str_digits() digits, 4,300 by default
+        digits = "1" * 5_000
+        code, out, err = run_cli(capsys, *argv, flag, head + digits)
+        assert (code, out) == (2, "")
+        assert f"argument {flag}: wants " in err and "invalid parse value" not in err
+        assert f"got {head + digits[:39 - len(head)] + '…'!r}" in err  # a long value, cut
 
 
 HELP = Path(__file__).resolve().parent / "help"
