@@ -9,18 +9,19 @@ checks every pair or cell once and builds its rows itself, so it returns a
 
 On at most 8 points a row is one byte, and tables built at import serve both
 directions: each writer takes one lookup per row, ``_PAIRS[x][r]`` the JSON
-text of row r of point x or ``_LINES[n][r]`` its line on n points, and
-``_ROWS_OF[n]`` maps each line of n 0/1 cells back to its row, so a matrix of
-n such lines, with any line ends, is read with one lookup per line.  Blanks,
-blank lines, wider carriers and malformed lines take the line-by-line path.
+text of row r of point x or ``_LINES[n][r]`` its line on n points.
 
-A JSON text laid out exactly as ``json.dumps`` writes it, on 1-8 points and
-with at least one pair, skips ``json.loads``: after its head, each ``[x, y], ``
-is one 8-byte record, looked up as an int to the bit 8*x + y, and the rows are
-the bytes of the sum.  Distinct powers of two add without a carry, so a
-duplicate shows as a popcount below the record count.  Any miss, in layout,
-range or popcount, sends the text as given to ``json.loads``, so every
-diagnostic is the one that path gives.
+Both readers take one rule on 1-8 points: split the text into pieces, look
+each piece up in a dict for its width, and send any miss to the general path.
+A matrix is split into lines, and ``_ROWS_OF[n]`` maps each line of n 0/1
+cells, with any line end, to its row; blanks, blank lines, wider carriers and
+malformed lines take the line-by-line path.  A JSON text laid out exactly as
+``json.dumps`` writes it, with at least one pair, is split at "], [" after its
+head, at most n*n times, so a longer text leaves its rest in one last piece,
+which misses; ``_BIT_OF[n]`` maps each "x, y" to the bit 8*x + y, and the rows
+are the bytes of the sum.  Distinct powers of two add without a carry, so a
+duplicate shows as a popcount below the piece count.  A miss sends the text as
+given to ``json.loads``, so every diagnostic is the one that path gives.
 """
 
 from __future__ import annotations
@@ -45,14 +46,10 @@ for _k in range(8):
 _LINES = [[cells + "\n" for cells in rows] for rows in _ROWS_OF]
 _PAIRS = ["\n".join(_ROW_PAIRS).replace("x", str(x)).split("\n") for x in range(8)]
 
-# the JSON layout json.dumps writes on 1-8 points: its head, and each pair with
-# the ", " after it as one 8-byte record, read as an int the same way as below,
-# mapped to bit 8*x + y; any other record is _MISS, outside every _IN_RANGE[n]
-_HEAD = {f'{{"n": {n}, "pairs": [': n for n in range(1, 9)}
-_RECORD = {memoryview(f"[{x}, {y}], ".encode()).cast("Q")[0]: 1 << 8 * x + y
-           for x in range(8) for y in range(8)}
-_MISS = 1 << 64
-_IN_RANGE = [sum(1 << 8 * x + y for x in range(n) for y in range(n)) for n in range(9)]
+# the JSON layout json.dumps writes on 1-8 points: its head, through the first
+# pair's "[", and each pair's "x, y", mapped to bit 8*x + y
+_HEAD = {f'{{"n": {n}, "pairs": [[': n for n in range(1, 9)}
+_BIT_OF = [{f"{x}, {y}": 1 << 8 * x + y for x in range(n) for y in range(n)} for n in range(9)]
 
 
 class RelationParseError(ValueError):
@@ -61,16 +58,14 @@ class RelationParseError(ValueError):
 
 def _parse_json(text: str) -> Relation:
     trimmed = text.strip(" \t\n\r")  # JSON's whitespace only: json.loads rejects the rest
-    n = _HEAD.get(trimmed[:19])
-    body = trimmed[19:-2] + ", "
-    # isascii first: encode() raises on a lone surrogate
-    if n and trimmed.endswith("]}") and len(body) % 8 == 0 and body.isascii():
-        records = memoryview(body.encode()).cast("Q")
+    n = _HEAD.get(trimmed[:20])
+    if n and trimmed.endswith("]]}"):
+        pieces = trimmed[20:-3].split("], [", n * n)
         try:
-            mask = sum(map(_RECORD.__getitem__, records))
+            mask = sum(map(_BIT_OF[n].__getitem__, pieces))
         except KeyError:
-            mask = _MISS
-        if not mask & ~_IN_RANGE[n] and mask.bit_count() == len(records):
+            mask = 0  # a popcount below every piece count
+        if mask.bit_count() == len(pieces):
             return Relation._trusted(n, tuple(mask.to_bytes(n, "little")))
     try:
         # an object if it parses: parse_relation sends only texts that lstrip() to

@@ -612,7 +612,7 @@ class TestPublicSurface:
         assert not hasattr(Relation, "successors")
 
     def test_readme_library_block_runs(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
         code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
         scope = {}

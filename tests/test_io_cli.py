@@ -113,13 +113,18 @@ class TestParse:
         ('{"n": 2, "pairs": [[1, 0], [0, 1], [1, 0]]}', "pairs[2]: duplicate pair [1, 0]"),
         ('{"n": 2, "pairs": [[1, 0], [1, 1], [1, 1], [9, 9]]}', "pairs[2]: duplicate pair [1, 1]"),
         # json.dumps's own layout on at most 8 points, which is read without json.loads
-        # until a record misses; then json.loads reads the text as given
+        # unless a piece misses; then json.loads reads the text as given
         ('{"n": 3, "pairs": [[0, 0], [1, 2], [0, 0]]}', "pairs[2]: duplicate pair [0, 0]"),
         ('{"n": 3, "pairs": [[0, 0], [3, 1]]}', "pairs[1]: point out of range for carrier of size 3"),
         ('{"n": 3, "pairs": [[0, 0], [1, 3]]}', "pairs[1]: point out of range for carrier of size 3"),
         ('{"n": 8, "pairs": [[0, 0], [7, 8]]}', "pairs[1]: point out of range for carrier of size 8"),
         ('{"n": 8, "pairs": [[9, 0]]}', "pairs[0]: point out of range for carrier of size 8"),
         ('{"n": 0, "pairs": [[0, 0]]}', "field 'n': carrier must be nonempty"),
+        ('{"n": 2, "pairs": [[00, 1]]}',
+         "malformed JSON: Expecting ',' delimiter: line 1 column 22 (char 21)"),
+        ('{"n": 2, "pairs": [[0, 1]]]}',
+         "malformed JSON: Expecting ',' delimiter: line 1 column 27 (char 26)"),
+        ('{"n": 1, "pairs": [[]]}', "pairs[0]: expected a pair [x, y] of integers"),
         ('{"n": 8, "pairs": [%s, [3, 5]]}' % ", ".join(f"[{x}, {y}]" for x in range(8) for y in range(8)),
          "pairs[64]: duplicate pair [3, 5]"),
         ('{"n": 4, "pairs": [[0, 0], [1, \u0663]]}',
@@ -173,8 +178,9 @@ class TestParse:
         assert f == Relation.from_pairs(9, [(0, 1), (8, 8)])
 
     def test_dumps_layout_agrees_with_the_compact_one(self):
-        # the compact separators never match the record layout, so they take the
-        # general path; both must give the same rows or the same message
+        # the compact separators never match the head or the "], [" the table route
+        # splits at, so they take the general path; both must give the same rows or
+        # the same message
         outcome = parse_outcome
         rng = Random(30)
         kinds = set()
@@ -190,6 +196,26 @@ class TestParse:
             assert got == outcome(json.dumps(doc, separators=(",", ":")))
             kinds.add(got.split("]: ")[1][:9] if isinstance(got, str) else n)
         assert kinds == {*range(1, 10), "duplicate", "point out"}
+
+    def test_near_misses_of_the_layout_agree_with_json_loads(self, monkeypatch):
+        # the writer's JSON on 1 or 2 points, with at least one pair, and every text
+        # one deletion, substitution or insertion away; with _HEAD empty each text
+        # goes to json.loads, which must give the same rows or the same message
+        texts = []
+        for n in (1, 2):
+            for mask in range(1, 1 << n * n):
+                text = serialize_relation(
+                    Relation(n, [mask >> n * x & (1 << n) - 1 for x in range(n)]), "json")
+                near = set()
+                for i in range(len(text) + 1):
+                    near.add(text[:i] + text[i + 1:])
+                    for ch in '0189[], "{}n':
+                        near.update((text[:i] + ch + text[i + 1:], text[:i] + ch + text[i:]))
+                texts += sorted(near)
+        assert len(texts) == 13_494
+        outcomes = list(map(parse_outcome, texts))
+        monkeypatch.setattr("finrel.io._HEAD", {})
+        assert list(map(parse_outcome, texts)) == outcomes
 
     def test_writer_layout_agrees_with_the_line_loop(self):
         # a matrix of n lines of n 0/1 cells on at most 8 points is read by table;
@@ -258,7 +284,7 @@ class TestJsonRecords:
 
     def test_bundled_documents_as_read_from_disk(self, t_relation):
         for name, f in (("gamma", gamma_relation()), ("t", t_relation)):
-            with open(bundled(name)) as file:
+            with open(bundled(name), encoding="utf-8") as file:
                 text = file.read()
             assert text.endswith("\n")
             assert parse_relation(text) == f
@@ -278,8 +304,8 @@ class TestJsonRecords:
     @pytest.mark.parametrize("at", [0, 4, 7])
     @pytest.mark.parametrize("bad", [[8, 0], [0, 9]])
     def test_a_record_outside_the_table_goes_to_json_loads(self, monkeypatch, bad, at):
-        # "[8, 0], " is an 8-byte record of the layout, but no key of _RECORD on
-        # 8 points; first, in the middle or last, the text goes to json.loads
+        # "8, 0" is a piece of the layout, but no key of _BIT_OF[8]; first, in the
+        # middle or last, the text goes to json.loads
         texts = []
         monkeypatch.setattr(json, "loads", lambda text: texts.append(text) or self.LOADS(text))
         pairs = [[x, x] for x in range(8)]
@@ -289,6 +315,19 @@ class TestJsonRecords:
             parse_relation(text)
         assert str(info.value) == f"pairs[{at}]: point out of range for carrier of size 8"
         assert texts == [text]
+
+    def test_a_long_text_costs_at_most_a_copy_or_two(self):
+        # 400,000 duplicate pairs in the layout on 8 points: the table route stops
+        # splitting after 64 pairs, so the rest stays one piece and misses
+        text = json.dumps({"n": 8, "pairs": [[0, 0]] * 400_000})
+        tracemalloc.start()
+        try:
+            with pytest.raises(AssertionError, match="json.loads was called"):
+                parse_relation(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 3_000_000 and peak < 3 * len(text)
 
 
 def reference_json(f):
@@ -410,10 +449,11 @@ def test_golden(name, capsys, monkeypatch):
     CI runs the same directories through the installed ``finrel`` script.
     """
     case = GOLDEN / name
-    argv = (case / "argv").read_text().splitlines()
-    code = int((case / "code").read_text())
+    argv = (case / "argv").read_text(encoding="utf-8").splitlines()
+    code = int((case / "code").read_text(encoding="utf-8"))
     stdout = (case / "stdout").read_bytes()
-    fragment = (case / "stderr").read_text().rstrip("\n") if (case / "stderr").exists() else ""
+    stderr = case / "stderr"
+    fragment = stderr.read_text(encoding="utf-8").rstrip("\n") if stderr.exists() else ""
     assert "\n" not in fragment  # CI's grep -F would read each line as a pattern of its own
     monkeypatch.chdir(GOLDEN.parents[1])
     got, out, err = run_cli(capsys, *argv)
@@ -427,10 +467,10 @@ def small_documents(tmp_path):
     for n in (1, 2):
         for i, f in enumerate(all_relations(n)):
             path = tmp_path / f"r{n}-{i}.json"
-            path.write_text(reference_json(f))
+            path.write_text(reference_json(f), encoding="utf-8")
             paths.append(str(path))
     for path in paths:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
         yield path, doc["n"], frozenset(map(tuple, doc["pairs"]))
 
 
@@ -487,7 +527,7 @@ class TestCheckCommand:
 
     def test_trivial_null_for_non_full(self, tmp_path, capsys):
         p = tmp_path / "partial.json"
-        p.write_text('{"n":2,"pairs":[[0,0]]}')
+        p.write_text('{"n":2,"pairs":[[0,0]]}', encoding="utf-8")
         code, out, _ = run_cli(capsys, "check", str(p))
         assert code == 0
         doc = json.loads(out)
@@ -530,7 +570,7 @@ class TestCheckCommand:
 
     def test_huge_carrier_rejected_before_allocating(self, tmp_path, capsys):
         doc = tmp_path / "huge.json"
-        doc.write_text('{"n": 1000000000, "pairs": []}')
+        doc.write_text('{"n": 1000000000, "pairs": []}', encoding="utf-8")
         code, out, err = run_cli(capsys, "check", str(doc))
         assert code == 2
         assert out == ""
@@ -538,7 +578,7 @@ class TestCheckCommand:
 
     def test_deeply_nested_json_is_a_parse_error(self, tmp_path, capsys):
         doc = tmp_path / "deep.json"
-        doc.write_text('{"n": 1, "pairs": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        doc.write_text('{"n": 1, "pairs": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
         code, out, err = run_cli(capsys, "check", str(doc))
         assert code == 2
         assert out == ""
@@ -551,9 +591,9 @@ class TestCheckCommand:
     def test_matrix_and_json_give_same_report(self, tmp_path, capsys):
         f = gamma_relation()
         a = tmp_path / "g.json"
-        a.write_text(serialize_relation(f, "json"))
+        a.write_text(serialize_relation(f, "json"), encoding="utf-8")
         b = tmp_path / "g.txt"
-        b.write_text(serialize_relation(f, "matrix"))
+        b.write_text(serialize_relation(f, "matrix"), encoding="utf-8")
         _, out_a, _ = run_cli(capsys, "check", str(a))
         _, out_b, _ = run_cli(capsys, "check", str(b))
         assert out_a == out_b
@@ -576,7 +616,7 @@ class TestWitnessCommand:
 
     def test_restriction_reported(self, tmp_path, capsys):
         p = tmp_path / "ns.json"
-        p.write_text('{"n":3,"pairs":[[0,0],[0,1],[1,1],[2,0],[2,1]]}')
+        p.write_text('{"n":3,"pairs":[[0,0],[0,1],[1,1],[2,0],[2,1]]}', encoding="utf-8")
         code, out, _ = run_cli(capsys, "witness", str(p))
         assert code == 0
         assert json.loads(out)["restricted_to"] == [0, 1]
@@ -602,7 +642,7 @@ class TestWitnessCommand:
     def test_pipeline_text_on_a_non_surjective_relation(self, tmp_path, capsys):
         # key order and layout are part of the output, not only the values
         p = tmp_path / "ns.json"
-        p.write_text('{"n":3,"pairs":[[0,0],[0,1],[1,1],[2,0],[2,1]]}')
+        p.write_text('{"n":3,"pairs":[[0,0],[0,1],[1,1],[2,0],[2,1]]}', encoding="utf-8")
         code, out, err = run_cli(capsys, "witness", str(p))
         expected = {
             "witness": [0, 1],
@@ -743,7 +783,7 @@ class TestMahavierCommand:
     def test_json_memory_does_not_grow_with_the_threads(self, monkeypatch):
         # 301 threads of 300 points: holding them all takes about 8 MiB, streaming under 0.1 MiB
         argv = ["mahavier", bundled("gamma"), "--length", "300", "--json"]
-        with open(os.devnull, "w") as sink:
+        with open(os.devnull, "w", encoding="utf-8") as sink:
             monkeypatch.setattr(sys, "stdout", sink)
             assert run(argv[:3] + ["1", "--json"]) == 0  # imports outside the trace
             tracemalloc.start()
@@ -781,7 +821,7 @@ class TestMahavierCommand:
 
     def test_count_at_the_length_cap(self, tmp_path, capsys):
         one = tmp_path / "one.json"
-        one.write_text('{"n": 1, "pairs": [[0, 0]]}')
+        one.write_text('{"n": 1, "pairs": [[0, 0]]}', encoding="utf-8")
         code, out, _ = run_cli(capsys, "mahavier", str(one), "--length", str(MAX_LENGTH),
                                "--count-only")
         assert code == 0
@@ -789,7 +829,7 @@ class TestMahavierCommand:
 
     def test_count_only_prints_counts_of_any_size(self, tmp_path, capsys):
         square = tmp_path / "square.txt"
-        square.write_text("11\n11\n")
+        square.write_text("11\n11\n", encoding="utf-8")
         code, out, _ = run_cli(capsys, "mahavier", str(square), "--length", "15000",
                                "--count-only")
         assert code == 0
@@ -801,7 +841,7 @@ class TestOpCommand:
     def test_compose(self, tmp_path, capsys):
         p = tmp_path / "t.json"
         p.write_text(serialize_relation(
-            Relation.from_pairs(3, [(0, 0), (1, 1), (2, 0), (2, 1)]), "json"))
+            Relation.from_pairs(3, [(0, 0), (1, 1), (2, 0), (2, 1)]), "json"), encoding="utf-8")
         code, out, _ = run_cli(capsys, "op", "compose", str(p), str(p))
         assert code == 0
         assert json.loads(out)["pairs"] == [[0, 0], [1, 1], [2, 0], [2, 1]]
@@ -816,7 +856,7 @@ class TestOpCommand:
     def test_restrict_wants_ascii_integers(self, tmp_path, capsys, points):
         # on the identity on 11 points int() would read '1_0,\u0663' as points 10 and 3
         p = tmp_path / "identity.json"
-        p.write_text(serialize_relation(identity(11), "json"))
+        p.write_text(serialize_relation(identity(11), "json"), encoding="utf-8")
         assert parser_error(capsys, "op", "restrict", str(p), "--points", points) == (
             "finrel op restrict: error: argument --points: wants comma-separated integers; "
             f"got {points!r}")
@@ -861,7 +901,7 @@ class TestOpCommand:
 
     def test_pairs_that_are_not_a_list(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
-        p.write_text('{"n": 2, "pairs": 5}')
+        p.write_text('{"n": 2, "pairs": 5}', encoding="utf-8")
         assert run_cli(capsys, "op", "inverse", str(p)) == (
             2, "", "finrel: error: field 'pairs': expected a list of [x, y] pairs\n")
 
@@ -970,7 +1010,8 @@ class TestHelp:
 
 DOCUMENTS = st.one_of(
     st.text(max_size=60),
-    st.sampled_from(["gamma", "t"]).map(lambda name: Path(bundled(name)).read_text()),
+    st.sampled_from(["gamma", "t"]).map(
+        lambda name: Path(bundled(name)).read_text(encoding="utf-8")),
     relations(max_n=4).map(lambda f: serialize_relation(f, "json")),
     relations(max_n=4).map(lambda f: serialize_relation(f, "matrix")),
 )
@@ -1010,8 +1051,8 @@ class TestFuzzCli:
     def test_exit_code_without_exceptions(self, data, text, other_text):
         with tempfile.TemporaryDirectory() as tmp:
             path, other = os.path.join(tmp, "a"), os.path.join(tmp, "b")
-            Path(path).write_text(text, errors="surrogatepass")
-            Path(other).write_text(other_text, errors="surrogatepass")
+            Path(path).write_text(text, encoding="utf-8", errors="surrogatepass")
+            Path(other).write_text(other_text, encoding="utf-8", errors="surrogatepass")
             argv = data.draw(cli_arguments(path, other))
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
@@ -1026,7 +1067,7 @@ class TestDependencies:
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         done = subprocess.run([sys.executable, "-S", "-c", probe, *argv], env=env,
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, encoding="utf-8")
         assert done.returncode == 0, done.stderr
         return done.stdout
 
@@ -1101,7 +1142,7 @@ class TestDependencies:
         done = subprocess.run(
             [sys.executable, "-m", "finrel", "mahavier", bundled("gamma"),
              "--length", "10", "--count-only"],
-            env=env, capture_output=True, text=True, check=True)
+            env=env, capture_output=True, text=True, encoding="utf-8", check=True)
         assert done.stdout == "11\n"
 
     def test_documents_are_read_as_utf_8(self):
@@ -1111,7 +1152,7 @@ class TestDependencies:
         done = subprocess.run(
             [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
              "-m", "finrel", "check", bundled("t")],
-            env=env, capture_output=True, text=True)
+            env=env, capture_output=True, text=True, encoding="utf-8")
         assert (done.returncode, done.stderr) == (0, "")
         assert json.loads(done.stdout)["trivial"] is True
 
