@@ -10,7 +10,10 @@ from the table ``_BITS``, and those of a wider row with ``iter_bits``; beside
 it, ``_SPREAD`` transposes at most 8 rows with one OR per row.
 
 All values are immutable and all operations are pure functions, so
-relations can be shared freely.
+relations can be shared freely.  A relation works out its idempotence
+verdict and its transpose at most once, on first use, and ``inverse(f)``
+returns that same object each time; the memo is invisible to ``==``,
+``hash`` and pickling.
 
 ``Relation(...)`` and ``Relation.from_pairs`` check every row.  Rows valid
 by construction skip those checks through ``Relation._trusted``: the results
@@ -58,14 +61,18 @@ class Relation:
     shift-and-test.  Rows may be empty: fullness is a predicate, not a
     structural requirement (inverses of non-surjective relations have
     empty rows).  A relation is immutable, and equal to and hashed as
-    another exactly when both have the same ``(n, rows)``.
+    another exactly when both have the same ``(n, rows)``.  ``_idempotent``
+    and ``_inverse`` keep the idempotence verdict and the transpose, which
+    holds no reference back to f, once first worked out.
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "rows", "_idempotent", "_inverse")
 
     def __init__(self, n: int, rows: Iterable[int]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", tuple(rows))
+        _SET_N(self, n)
+        _SET_ROWS(self, tuple(rows))
+        _SET_IDEMPOTENT(self, None)
+        _SET_INVERSE(self, None)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -86,8 +93,10 @@ class Relation:
     def _trusted(cls, n: int, rows: tuple[int, ...]) -> "Relation":
         """A relation on rows already known to be n ints in 0..2^n-1; no checks."""
         f = object.__new__(cls)
-        object.__setattr__(f, "n", n)
-        object.__setattr__(f, "rows", rows)
+        _SET_N(f, n)
+        _SET_ROWS(f, rows)
+        _SET_IDEMPOTENT(f, None)
+        _SET_INVERSE(f, None)
         return f
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -138,6 +147,13 @@ class Relation:
         return f"Relation(n={self.n}, pairs={self.pairs()})"
 
 
+# set each slot through its own descriptor: no lookup by name, and past __setattr__
+_SET_N = Relation.n.__set__
+_SET_ROWS = Relation.rows.__set__
+_SET_IDEMPOTENT = Relation._idempotent.__set__
+_SET_INVERSE = Relation._inverse.__set__
+
+
 def identity(n: int) -> Relation:
     """The identity relation {(x, x) : x < n}."""
     _check_carrier(n)
@@ -182,8 +198,12 @@ def compose(f: Relation, g: Relation) -> Relation:
 
 
 def inverse(f: Relation) -> Relation:
-    """The transpose {(y, x) : (x, y) in f}."""
-    return Relation._trusted(f.n, tuple(_inverse_rows(f.rows)))
+    """The transpose {(y, x) : (x, y) in f}, built on the first call and kept."""
+    inv = f._inverse
+    if inv is None:
+        inv = Relation._trusted(f.n, tuple(_inverse_rows(f.rows)))
+        _SET_INVERSE(f, inv)
+    return inv
 
 
 def restrict(f: Relation, points: Iterable[int]) -> Relation:
@@ -218,8 +238,12 @@ def is_full(f: Relation) -> bool:
 
 
 def is_idempotent(f: Relation) -> bool:
-    """f composed with itself equals f."""
-    return _compose_rows(f.rows, f.rows) == list(f.rows)
+    """f composed with itself equals f; tested on the first call and kept."""
+    verdict = f._idempotent
+    if verdict is None:
+        verdict = _compose_rows(f.rows, f.rows) == list(f.rows)
+        _SET_IDEMPOTENT(f, verdict)
+    return verdict
 
 
 def is_surjective(f: Relation) -> bool:
@@ -310,14 +334,6 @@ def properties(f: Relation) -> PropertyReport:
     """Evaluate every predicate of the algebra on one relation."""
     full = is_full(f)
     nt = _nontriviality(f.rows) if full else None
-    return PropertyReport(
-        n=f.n,
-        full=full,
-        idempotent=is_idempotent(f),
-        surjective=is_surjective(f),
-        single_valued=is_single_valued(f),
-        trivial=(nt is None) if full else None,
-        gamma_witness=_gamma(f.rows),
-        two_point_witness=_two_point(f.rows),
-        nontriviality_witness=nt,
-    )
+    # positional, in the declared field order: keywords cost a bind per field
+    return PropertyReport(f.n, full, is_idempotent(f), is_surjective(f), is_single_valued(f),
+                          (nt is None) if full else None, _gamma(f.rows), _two_point(f.rows), nt)

@@ -40,8 +40,8 @@ from .core import (
     PreconditionError,
     Relation,
     _BITS,
-    _inverse_rows,
     _nontriviality,
+    inverse,
     iter_bits,
     is_full,
     is_idempotent,
@@ -183,11 +183,12 @@ def gamma_witness(f: Relation) -> GammaWitness:
     pattern of inverse(f), and transposing it gives one for f.  If f is not
     surjective, inverse(f) has empty rows and the extension chain could
     starve, so both chains only visit range(f), where f is full,
-    idempotent, surjective and still nontrivial.  The returned pair is
+    idempotent, surjective and still nontrivial.  The transpose is
+    ``inverse(f)``, which f keeps for later calls.  The returned pair is
     valid for f but not necessarily the lexicographically least gamma pair.
     """
     _require(f, "gamma_witness")
-    pair, chain1, chain2, rng = _gamma_pipeline(f.rows, _inverse_rows(f.rows))
+    pair, chain1, chain2, rng = _gamma_pipeline(f.rows, inverse(f).rows)
     # the extension grew stage 1's result (x, y) into (x, z): its chain starts at y
     z, x = pair
     seed = (x, chain2[0])
@@ -202,13 +203,12 @@ def _gamma_pipeline(rows: Sequence[int],
                     inv: Sequence[int]) -> tuple[tuple[int, int], list[int], list[int], int]:
     """``gamma_witness`` on the rows of an f whose preconditions hold, given its transpose.
 
-    ``inv`` holds the packed rows of inverse(f), as ``_inverse_rows(rows)``
-    returns them.  Both chains only visit ``rng``, the range of f as a
-    bitmask.  Every row of f lies in it, so f cut to ``rng`` is full,
-    idempotent and surjective there, and it stays nontrivial: a
-    nontriviality witness (x, a) lifts to (c, a) for some c in f(x), and c
-    lies in the range.  The rows of inv ANDed with ``rng`` are the
-    transpose of that cut, in f's labels.  Returns the gamma pair, both
+    ``inv`` holds the packed rows of inverse(f).  Both chains only visit
+    ``rng``, the range of f as a bitmask.  Every row of f lies in it, so f
+    cut to ``rng`` is full, idempotent and surjective there, and it stays
+    nontrivial: a nontriviality witness (x, a) lifts to (c, a) for some c in
+    f(x), and c lies in the range.  The rows of inv ANDed with ``rng`` are
+    the transpose of that cut, in f's labels.  Returns the gamma pair, both
     chains and ``rng``.
     """
     rng = 0

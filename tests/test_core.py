@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import pickle
 import re
@@ -42,6 +43,7 @@ from strategies import (
     full_square,
     idempotent_power,
     idempotent_relations,
+    random_full_relation,
     relabel,
     relation_pairs,
     relation_triples,
@@ -126,12 +128,17 @@ class TestRelationType:
         assert {gamma_relation(), gamma_relation()} == {gamma_relation()}
 
     def test_immutable(self, t_relation):
-        for name, value in (("n", 4), ("rows", (1, 2, 3)), ("extra", 0)):
+        # with the remembered verdict and transpose filled in, those slots refuse too
+        properties(t_relation)
+        inv = inverse(t_relation)
+        for name, value in (("n", 4), ("rows", (1, 2, 3)), ("extra", 0),
+                            ("_idempotent", False), ("_inverse", t_relation)):
             with pytest.raises(AttributeError):
                 setattr(t_relation, name, value)
             with pytest.raises(AttributeError):
                 delattr(t_relation, name)
         assert (t_relation.n, t_relation.rows) == (3, (1, 2, 3))
+        assert is_idempotent(t_relation) is True and inverse(t_relation) is inv
 
     def test_not_a_container(self, t_relation):
         with pytest.raises(TypeError):
@@ -148,11 +155,25 @@ class TestRelationType:
         assert hash(t_relation) == hash((3, (1, 2, 3)))
 
     def test_pickle_and_copy_round_trip(self, t_relation):
-        for clone in (pickle.loads(pickle.dumps(t_relation)), copy.copy(t_relation),
-                      copy.deepcopy(t_relation)):
-            assert type(clone) is Relation
-            assert (clone.n, clone.rows) == (t_relation.n, t_relation.rows)
-            assert clone == t_relation and hash(clone) == hash(t_relation)
+        # before and after the remembered facts are filled in, which stay out
+        # of equality, hashing and pickling
+        for fill in (False, True):
+            if fill:
+                properties(t_relation)
+                inverse(t_relation)
+            for clone in (pickle.loads(pickle.dumps(t_relation)), copy.copy(t_relation),
+                          copy.deepcopy(t_relation)):
+                assert type(clone) is Relation
+                assert (clone.n, clone.rows) == (t_relation.n, t_relation.rows)
+                assert clone == t_relation and hash(clone) == hash(t_relation)
+                assert properties(clone) == properties(t_relation)
+                assert inverse(clone) == inverse(t_relation)
+
+    def test_the_transpose_holds_no_reference_back(self, t_relation):
+        # no cycle, so a relation and its transpose are freed by reference counting
+        inv = inverse(t_relation)
+        assert not any(r is t_relation for r in gc.get_referents(inv))
+        assert inverse(inv) == t_relation and inverse(inv) is not t_relation
 
     def test_post_init_runs_on_each_checked_construction_only(self, monkeypatch, t_relation):
         # the benchmark traces construction by rebinding this hook
@@ -470,6 +491,82 @@ class TestTrustedConstruction:
                 assert type(r) is Relation and (r.n, r.rows) == (checked.n, checked.rows)
                 assert r == checked
                 assert hash(r) == hash(checked)
+
+
+class TestRememberedFacts:
+    """A relation works out its idempotence verdict and its transpose once."""
+
+    def test_each_fact_is_computed_once_per_relation(self, monkeypatch):
+        calls = {"_compose_rows": 0, "_inverse_rows": 0}
+
+        def counting(name, kernel):
+            def wrapper(*args):
+                calls[name] += 1
+                return kernel(*args)
+            return wrapper
+
+        monkeypatch.setattr(finrel.core, "_compose_rows", counting("_compose_rows", _compose_rows))
+        monkeypatch.setattr(finrel.core, "_inverse_rows", counting("_inverse_rows", _inverse_rows))
+        f = Relation(3, (7, 4, 4))  # nontrivial idempotent full
+        for _ in range(2):
+            assert properties(f).trivial is False
+            gamma_witness(f)
+            inverse(f)
+        assert calls == {"_compose_rows": 1, "_inverse_rows": 1}
+
+    @staticmethod
+    def check(rows):
+        n = len(rows)
+        pairs = o.pairs_of(Relation(n, rows))
+        idempotent = o.o_is_idempotent(pairs)
+        nontrivial = (idempotent and o.o_is_full(n, pairs)
+                      and not o.o_is_trivial_literal(n, pairs))
+
+        def witness(f):
+            if nontrivial:
+                u, v = gamma_witness(f).pair
+                assert u != v and {(u, u), (u, v), (v, v)} <= pairs
+            else:
+                with pytest.raises(PreconditionError):
+                    gamma_witness(f)
+
+        for witness_first in (True, False):
+            f = Relation(n, rows)
+            if witness_first:
+                witness(f)
+            assert is_idempotent(f) is idempotent
+            inv = inverse(f)
+            assert inverse(f) is inv and o.pairs_of(inv) == o.o_inverse(pairs)
+            assert is_idempotent(f) is idempotent
+            if not witness_first:
+                witness(f)
+            assert inverse(f) is inv and properties(f).idempotent is idempotent
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_remembered_answers_equal_fresh_ones(self, n):
+        for f in all_relations(n):
+            self.check(f.rows)
+
+    @pytest.mark.parametrize("lo,hi", [(6, 8), (9, 12)])
+    def test_remembered_answers_equal_fresh_ones_when_seeded(self, lo, hi):
+        # half at a random density, half idempotent powers, which are often nontrivial
+        rng = Random(f"remembered:{lo}")
+        for i in range(200):
+            n = rng.randint(lo, hi)
+            if i % 2:
+                rows = idempotent_power(random_full_relation(n, rng)).rows
+            else:
+                density = rng.random()
+                rows = tuple(sum(1 << y for y in range(n) if rng.random() < density)
+                             for _ in range(n))
+            self.check(rows)
+
+    def test_a_remembered_failure_still_fails_the_precondition(self):
+        f = Relation(2, (2, 1))  # the swap: full, not idempotent
+        assert properties(f).idempotent is False
+        message = "^gamma_witness requires an idempotent relation$"
+        with pytest.raises(PreconditionError, match=message):
+            gamma_witness(f)
 
 
 class TestOutsideCounts:
